@@ -163,7 +163,8 @@ def cmd_optimize(args) -> int:
             f"prune {'on' if fast_path.get('prune_enabled') else 'off'}",
         ]
         if cache_stats:
-            parts.append(f"cache hit rate {cache_stats.get('hit_rate', 0.0) * 100:.1f}%")
+            parts.append(f"deps/order reused on "
+                         f"{cache_stats.get('hit_rate', 0.0) * 100:.1f}% of lowerings")
         if fast_path.get("prune_enabled"):
             parts.append(f"{fast_path.get('choices_pruned', 0)} of "
                          f"{fast_path.get('choices_total', 0)} choices pruned")

@@ -86,7 +86,6 @@ class AstraSession:
         fast=None,
         clock=None,
         workers: int | None = None,
-        parallel=None,
         provenance=None,
         store=None,
         server=None,
@@ -116,7 +115,7 @@ class AstraSession:
             self.graph, device, features, seed=seed, context=context, index=index,
             metrics=metrics, reporter=reporter, tracer=tracer, validate=validate,
             policy=policy, faults=faults, checkpoint_path=checkpoint_path,
-            fast=fast, clock=clock, workers=workers, parallel=parallel,
+            fast=fast, clock=clock, workers=workers,
             provenance=provenance, learned=learned,
         )
         # resume-on-restart: an existing checkpoint for the same

@@ -164,7 +164,6 @@ class CustomWirer:
         fast: FastPath | None = None,
         clock=None,
         workers: int | None = None,
-        parallel=None,
         provenance=None,
         learned=None,
     ):
@@ -221,29 +220,20 @@ class CustomWirer:
         # parallel engine (docs/performance.md): stood up before the
         # enumerator so worker-process startup overlaps the parent's own
         # static analysis; workers=None keeps the serial path untouched
-        self.parallel_config = None
         self.engine = None
-        if workers is not None or parallel is not None:
-            from ..parallel import ParallelConfig, ParallelEngine, make_pool
+        if workers is not None:
+            from ..parallel import ParallelEngine, make_pool
             from ..parallel.wire import WorkerSpec
 
-            self.parallel_config = (
-                parallel if parallel is not None
-                else ParallelConfig(workers=max(1, workers))
-            )
             spec = WorkerSpec(
                 graph=graph, device=device, features=features, seed=seed,
                 validate=validate, policy=self.policy, fast=self.fast,
                 fault_plan=faults, trace=self.tracer.enabled,
             )
-            pool = make_pool(
-                spec, self.parallel_config.workers,
-                self.parallel_config.start_method,
-            )
             self.engine = ParallelEngine(
-                pool, metrics=self.metrics, tracer=self.tracer
+                make_pool(spec, workers),
+                metrics=self.metrics, tracer=self.tracer,
             )
-            self.engine.pool_spec = spec
             self.engine.prewarm()
         with self.clock.phase("enumerate"):
             self.enumerator = Enumerator(
@@ -706,6 +696,7 @@ class CustomWirer:
         evolve exactly as a serial run's would.
         """
         from ..parallel.engine import (
+            MAX_WAVE,
             STATUS_BUDGET,
             STATUS_EXHAUSTED,
             plan_wave,
@@ -721,7 +712,7 @@ class CustomWirer:
                         tree, self.index, context,
                         samples=self.policy.samples,
                         spent=spent, budget=budget,
-                        limit=self.parallel_config.max_wave,
+                        limit=MAX_WAVE,
                         advance_first=advance_first,
                     )
                 advance_first = False
@@ -1047,10 +1038,7 @@ class CustomWirer:
         if self.fast.prune:
             with self.clock.phase("prerank"):
                 estimates = None
-                if (
-                    self.engine is not None
-                    and self.parallel_config.prerank
-                ):
+                if self.engine is not None:
                     # shard the cost-model evaluation across the pool;
                     # workers compute against their own unpruned copy of
                     # this tree, and the pure-float estimates are

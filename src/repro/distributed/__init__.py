@@ -1,32 +1,17 @@
-"""Multi-GPU data parallelism as an adaptive dimension (section 3.4).
+"""Fabrics and scope attribution used by the fleet search.
 
-The paper's prototype adapts a single GPU; this subpackage implements the
-extension it sketches: measuring -- never modelling -- the best degree of
-data parallelism given the model's communication cost and the fabric."""
+The degree and the kind of multi-GPU partitioning (paper sections 3.4
+and 6.7) are chosen by measurement in :mod:`repro.fleet`; this package
+holds the pieces it builds on: the interconnect models, the data-parallel
+cost terms, and the per-layer-scope time attribution of pipeline stages.
+"""
 
-from .data_parallel import (
-    ReplicaMeasurement,
-    choose_parallelism,
-    gradient_bytes,
-    measure_degree,
-)
+from .data_parallel import OVERLAP_FRACTION, gradient_bytes
 from .interconnect import INTERCONNECTS, Interconnect, NVLINK, PCIE
+from .pipeline import attribute_to_scopes, stage_unit_times
 
 __all__ = [
-    "ReplicaMeasurement", "choose_parallelism", "gradient_bytes",
-    "measure_degree", "INTERCONNECTS", "Interconnect", "NVLINK", "PCIE",
-]
-
-from .pipeline import (
-    PartitioningDecision,
-    PipelineMeasurement,
-    StageMeasurement,
-    choose_partitioning,
-    measure_pipeline,
-    stage_unit_times,
-)
-
-__all__ += [
-    "PartitioningDecision", "PipelineMeasurement", "StageMeasurement",
-    "choose_partitioning", "measure_pipeline", "stage_unit_times",
+    "OVERLAP_FRACTION", "gradient_bytes",
+    "INTERCONNECTS", "Interconnect", "NVLINK", "PCIE",
+    "attribute_to_scopes", "stage_unit_times",
 ]

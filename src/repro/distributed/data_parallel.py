@@ -1,32 +1,12 @@
-"""Measured selection of the data-parallel degree (section 3.4).
+"""Data-parallel cost terms shared by the fleet search (section 3.4).
 
-Astra's stance carries over unchanged: do not *model* whether 4 GPUs beat
-2 -- *measure* both.  For each candidate degree N this module
-
-* traces the per-replica graph at batch B/N (strong scaling) or B
-  (weak scaling),
-* measures the per-replica mini-batch time on the simulated device --
-  optionally with the full Astra exploration applied first (the paper's
-  note that single-GPU adaptation "will also benefit multi-GPU jobs by
-  running each instance faster"),
-* prices the gradient all-reduce on the chosen interconnect, overlapping
-  it with the backward pass the way bucketed gradient synchronization
-  does,
-
-and returns the measured step times, best first.
+The fleet measurer (``repro.fleet.measure``) prices a data-parallel step
+as the slowest replica's measured compute plus the exposed part of the
+gradient all-reduce; this module holds the two model-independent pieces
+of that price.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
-
-from ..baselines.native import native_plan
-from ..core.session import AstraSession
-from ..gpu.device import GPUSpec, P100
-from ..models.cells import ModelConfig, TracedModel
-from ..runtime.executor import Executor
-from .interconnect import Interconnect, PCIE
 
 #: fraction of the all-reduce hidden under the backward pass by bucketed
 #: overlap (gradients for early layers are ready while later layers still
@@ -34,110 +14,6 @@ from .interconnect import Interconnect, PCIE
 OVERLAP_FRACTION = 0.6
 
 
-@dataclass
-class ReplicaMeasurement:
-    """One candidate degree, fully measured."""
-
-    world: int
-    per_replica_batch: int
-    compute_us: float
-    allreduce_us: float
-    exposed_comm_us: float
-    step_us: float
-    per_sample_us: float
-    astra_speedup: float = 1.0
-    #: throughput gain over world=1 (1.0 = no benefit, N = perfect scaling)
-    scaling_efficiency: float = 1.0
-
-
 def gradient_bytes(graph) -> int:
     """Bytes all-reduced per step: one gradient per parameter."""
     return sum(n.spec.size_bytes for n in graph.params())
-
-
-def measure_degree(
-    builder: Callable[[ModelConfig], TracedModel],
-    config: ModelConfig,
-    world: int,
-    device: GPUSpec = P100,
-    interconnect: Interconnect = PCIE,
-    use_astra: bool = False,
-    strong_scaling: bool = True,
-    seed: int = 0,
-) -> ReplicaMeasurement:
-    """Measure one data-parallel degree end to end."""
-    if strong_scaling:
-        per_replica = max(1, config.batch_size // world)
-    else:
-        per_replica = config.batch_size
-    model = builder(config.scaled(batch_size=per_replica))
-
-    astra_speedup = 1.0
-    if use_astra:
-        report = AstraSession(model, device=device, features="FK", seed=seed).optimize()
-        compute = report.best_time_us
-        astra_speedup = report.speedup_over_native
-    else:
-        compute = Executor(model.graph, device).run(
-            native_plan(model.graph, fuse_elementwise=True)
-        ).total_time_us
-
-    comm = interconnect.allreduce_us(gradient_bytes(model.graph), world)
-    # the backward pass is roughly 2/3 of compute; overlap hides part of
-    # the all-reduce under it
-    hideable = min(comm * OVERLAP_FRACTION, compute * 2 / 3)
-    exposed = comm - hideable
-    step = compute + exposed
-    samples = per_replica * world
-    return ReplicaMeasurement(
-        world=world,
-        per_replica_batch=per_replica,
-        compute_us=compute,
-        allreduce_us=comm,
-        exposed_comm_us=exposed,
-        step_us=step,
-        per_sample_us=step / samples,
-        astra_speedup=astra_speedup,
-    )
-
-
-def choose_parallelism(
-    builder: Callable[[ModelConfig], TracedModel],
-    config: ModelConfig,
-    degrees: tuple[int, ...] = (1, 2, 4, 8),
-    device: GPUSpec = P100,
-    interconnect: Interconnect = PCIE,
-    use_astra: bool = False,
-    strong_scaling: bool = True,
-    seed: int = 0,
-) -> list[ReplicaMeasurement]:
-    """Measure every candidate degree; best (lowest us/sample) first.
-
-    The measured curve exposes the paper's cost-benefit dynamic: scaling
-    up divides compute but the all-reduce grows with world size, so the
-    optimum depends on the model's compute/communication ratio and the
-    fabric -- which is why it must be measured, not modelled.
-    """
-    measurements = [
-        measure_degree(
-            builder, config, world,
-            device=device, interconnect=interconnect,
-            use_astra=use_astra, strong_scaling=strong_scaling, seed=seed,
-        )
-        for world in degrees
-        if not strong_scaling or config.batch_size // world >= 1
-    ]
-    # scaling efficiency is defined relative to world=1; when the caller's
-    # degree list skips it, measure the baseline explicitly rather than
-    # normalizing against whichever degree happened to come first
-    base = next((m for m in measurements if m.world == 1), None)
-    if base is None:
-        base = measure_degree(
-            builder, config, 1,
-            device=device, interconnect=interconnect,
-            use_astra=use_astra, strong_scaling=strong_scaling, seed=seed,
-        )
-    for m in measurements:
-        m.scaling_efficiency = base.per_sample_us / m.per_sample_us
-    measurements.sort(key=lambda m: m.per_sample_us)
-    return measurements

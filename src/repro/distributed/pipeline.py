@@ -1,51 +1,18 @@
-"""Pipeline (model) parallelism, chosen by measurement (section 6.7).
+"""Layer-scope attribution for pipeline (model) parallelism (section 6.7).
 
-The paper's discussion extends the deterministic-adaptation idea to
-"specifics of model-partitioning and data partitioning in multi-GPU
-jobs".  This module implements the model-partitioning half: split the
-layer stack across GPUs, stream micro-batches through the pipeline
-(GPipe-style), and *measure* the resulting step time -- including the
-pipeline bubble and the inter-stage activation transfers -- so the
-partitioning choice (and the data-vs-pipeline question) is decided by
-numbers, not a model.
+The fleet search (``repro.fleet``) splits the layer stack into contiguous
+pipeline stages and prices each stage from per-scope times.  This module
+names the stackable layer scopes of a graph and charges every schedule
+unit -- measured or analytic -- to the scope that owns it, so the time of
+any group of scopes is a sum over one executed mini-batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 from ..baselines.native import native_plan
-from ..gpu.device import GPUSpec, P100
+from ..gpu.device import GPUSpec
 from ..ir.graph import Graph
-from ..models.cells import ModelConfig, TracedModel
 from ..runtime.executor import Executor
-from .interconnect import Interconnect, PCIE
-from .data_parallel import measure_degree
-
-
-@dataclass
-class StageMeasurement:
-    """One pipeline stage's measured compute and boundary traffic."""
-
-    stage: int
-    scopes: tuple[str, ...]
-    compute_us: float
-    boundary_bytes: int
-
-
-@dataclass
-class PipelineMeasurement:
-    """A fully measured pipeline configuration."""
-
-    num_stages: int
-    num_microbatches: int
-    stages: list[StageMeasurement]
-    #: per-microbatch time of the slowest stage (the pipeline's beat)
-    beat_us: float
-    transfer_us: float
-    step_us: float
-    per_sample_us: float
 
 
 def _layer_scopes(graph: Graph) -> list[str]:
@@ -108,127 +75,3 @@ def stage_unit_times(graph: Graph, device: GPUSpec, executor=None) -> dict[str, 
     return attribute_to_scopes(
         graph, plan, result.unit_times, device.launch_overhead_us
     )
-
-
-def _stage_compute_us(graph: Graph, scopes: set[str], device: GPUSpec) -> float:
-    """Measured time of the subset of the mini-batch in ``scopes``."""
-    times = stage_unit_times(graph, device)
-    return sum(us for scope, us in times.items() if scope in scopes)
-
-
-def measure_pipeline(
-    builder: Callable[[ModelConfig], TracedModel],
-    config: ModelConfig,
-    num_stages: int,
-    num_microbatches: int = 4,
-    device: GPUSpec = P100,
-    interconnect: Interconnect = PCIE,
-) -> PipelineMeasurement:
-    """Measure a GPipe-style pipeline split of the layer stack.
-
-    The layer scopes are partitioned into ``num_stages`` contiguous
-    groups; each micro-batch of size max(1, B // num_microbatches) flows
-    through them.  Step time follows the classic pipeline formula measured
-    from per-stage numbers: ``(num_microbatches + num_stages - 1) * beat``,
-    where the beat is the slowest stage's per-microbatch time plus the
-    boundary transfer.  Boundary traffic and the per-sample division both
-    use the samples the pipeline *actually* processes
-    (``micro * num_microbatches``), which differs from ``batch_size`` when
-    the batch does not divide evenly -- pricing by the nominal batch would
-    undercount traffic (to zero, for batches smaller than the micro-batch
-    count) and overstate throughput.
-    """
-    micro = max(1, config.batch_size // num_microbatches)
-    samples = micro * num_microbatches
-    model = builder(config.scaled(batch_size=micro))
-    graph = model.graph
-    scopes = _layer_scopes(graph)
-    if num_stages > len(scopes):
-        raise ValueError(
-            f"cannot split {len(scopes)} layer scopes into {num_stages} stages"
-        )
-
-    per_stage = max(1, len(scopes) // num_stages)
-    groups = [
-        tuple(scopes[i * per_stage: (i + 1) * per_stage if i < num_stages - 1 else None])
-        for i in range(num_stages)
-    ]
-
-    boundary_bytes = micro * config.hidden_size * 4
-
-    unit_times = stage_unit_times(graph, device)
-    stages = []
-    for i, group in enumerate(groups):
-        compute = sum(unit_times.get(scope, 0.0) for scope in group)
-        stages.append(
-            StageMeasurement(
-                stage=i,
-                scopes=group,
-                compute_us=compute,
-                boundary_bytes=boundary_bytes,
-            )
-        )
-
-    transfer = boundary_bytes / interconnect.link_bw_bytes_per_us + interconnect.latency_us
-    beat = max(s.compute_us for s in stages) + (transfer if num_stages > 1 else 0.0)
-    step = (num_microbatches + num_stages - 1) * beat
-    return PipelineMeasurement(
-        num_stages=num_stages,
-        num_microbatches=num_microbatches,
-        stages=stages,
-        beat_us=beat,
-        transfer_us=transfer if num_stages > 1 else 0.0,
-        step_us=step,
-        per_sample_us=step / samples,
-    )
-
-
-@dataclass
-class PartitioningDecision:
-    """Data-parallel vs pipeline-parallel, decided by measurement."""
-
-    kind: str  # "data" or "pipeline"
-    world: int
-    per_sample_us: float
-    detail: object
-
-
-def choose_partitioning(
-    builder: Callable[[ModelConfig], TracedModel],
-    config: ModelConfig,
-    world: int,
-    device: GPUSpec = P100,
-    interconnect: Interconnect = PCIE,
-    num_microbatches: int = 4,
-) -> list[PartitioningDecision]:
-    """Measure data parallelism and pipeline parallelism at the same world
-    size; best (lowest measured us/sample) first.
-
-    This is the section 6.7 extension in miniature: the *kind* of
-    partitioning, like every other knob, is picked by running both.
-    """
-    decisions = []
-    data = measure_degree(
-        builder, config, world, device=device, interconnect=interconnect
-    )
-    decisions.append(
-        PartitioningDecision(
-            kind="data", world=world, per_sample_us=data.per_sample_us, detail=data
-        )
-    )
-    try:
-        pipe = measure_pipeline(
-            builder, config, num_stages=world,
-            num_microbatches=num_microbatches,
-            device=device, interconnect=interconnect,
-        )
-        decisions.append(
-            PartitioningDecision(
-                kind="pipeline", world=world,
-                per_sample_us=pipe.per_sample_us, detail=pipe,
-            )
-        )
-    except ValueError:
-        pass  # not enough layers to split this deep
-    decisions.sort(key=lambda d: d.per_sample_us)
-    return decisions

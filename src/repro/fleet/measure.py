@@ -276,16 +276,16 @@ class FleetMeasurer:
         key = strategy_profile_key(self.context, strategy)
         cached = key in self.index
         if strategy.kind == "data":
-            outcome = self._measure_data(strategy)
+            outcome = self._compose_data(strategy)
         else:
-            outcome = self._measure_pipeline(strategy)
+            outcome = self._compose_pipeline(strategy)
         outcome.cached = cached
         if not cached:
             self.index.record(key, outcome.per_sample_us)
             self.metrics.counter("fleet.measure.strategies").inc()
         return outcome
 
-    def _measure_data(self, strategy: Strategy) -> StrategyOutcome:
+    def _compose_data(self, strategy: Strategy) -> StrategyOutcome:
         devices = self.fleet.assign_devices(strategy.placement)
         replicas = []
         for cls, name, shard in zip(strategy.placement, devices, strategy.shards):
@@ -318,7 +318,7 @@ class FleetMeasurer:
             },
         )
 
-    def _measure_pipeline(self, strategy: Strategy) -> StrategyOutcome:
+    def _compose_pipeline(self, strategy: Strategy) -> StrategyOutcome:
         micro = max(1, self.config.batch_size // strategy.microbatches)
         samples = micro * strategy.microbatches
         devices = self.fleet.assign_devices(strategy.placement)

@@ -1,14 +1,15 @@
-"""Worker pools for the fleet strategy wave (mirrors ``parallel/pool.py``).
+"""Worker state for the fleet strategy wave.
 
-The fleet engine dispatches :class:`FleetTask` shards -- (ordinal,
-strategy key) pairs -- to workers that rebuild the whole measurement
-stack from a pickled :class:`FleetWorkerSpec` and return
-:class:`FleetOutcome` rows in ordinal order.  Strategies cross the
-process boundary **by value** (:meth:`Strategy.key`), never as objects,
-and the spec carries the parent's calibration snapshot so workers start
-from the same primitives the pre-ranker priced.
+The fleet search dispatches :class:`FleetTask` shards -- (ordinal,
+strategy key) pairs -- through the shared pools of
+:mod:`repro.parallel.pool`.  Each worker rebuilds the whole measurement
+stack from a pickled :class:`FleetWorkerSpec` (``spec.worker()``) and
+returns :class:`FleetOutcome` rows in ordinal order.  Strategies cross
+the process boundary **by value** (:meth:`Strategy.key`), never as
+objects, and the spec carries the parent's calibration snapshot so
+workers start from the same primitives the pre-ranker priced.
 
-Determinism is the same contract the parallel engine's pool has: a
+Determinism is the same contract the explore engine's workers keep: a
 worker's measurements depend only on (spec, strategy key) -- fault
 sub-states are keyed by primitive, not by worker or order -- so the
 merged index is byte-identical for any worker count, including the
@@ -17,11 +18,8 @@ inline pool.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .measure import FleetMeasurer
@@ -43,6 +41,9 @@ class FleetWorkerSpec:
     #: parent-measured primitives (calibration + seed strategy), merged
     #: into each worker's index before its first task
     seed_entries: tuple = ()
+
+    def worker(self) -> "FleetWorkerState":
+        return FleetWorkerState(self)
 
 
 @dataclass
@@ -83,118 +84,28 @@ class FleetWorkerState:
         )
         self.measurer.index.merge(spec.seed_entries)
 
+    def run_shard(self, tasks) -> list[FleetOutcome]:
+        """Measure a shard of strategies, in ordinal order."""
+        outcomes = []
+        for task in tasks:
+            start = time.perf_counter()
+            before = set(self.measurer.index.snapshot())
+            outcome = self.measurer.measure_strategy(Strategy.from_key(task.key))
+            snapshot = self.measurer.index.snapshot()
+            records = tuple(
+                (key, value) for key, value in snapshot.items()
+                if key not in before
+            )
+            outcomes.append(FleetOutcome(
+                ordinal=task.ordinal,
+                key=task.key,
+                per_sample_us=outcome.per_sample_us,
+                step_us=outcome.step_us,
+                samples=outcome.samples,
+                detail=outcome.detail,
+                records=records,
+                busy_s=time.perf_counter() - start,
+                worker_pid=os.getpid(),
+            ))
+        return outcomes
 
-def run_shard(state: FleetWorkerState, tasks) -> list[FleetOutcome]:
-    outcomes = []
-    for task in tasks:
-        start = time.perf_counter()
-        before = set(state.measurer.index.snapshot())
-        outcome = state.measurer.measure_strategy(Strategy.from_key(task.key))
-        snapshot = state.measurer.index.snapshot()
-        records = tuple(
-            (key, value) for key, value in snapshot.items()
-            if key not in before
-        )
-        outcomes.append(FleetOutcome(
-            ordinal=task.ordinal,
-            key=task.key,
-            per_sample_us=outcome.per_sample_us,
-            step_us=outcome.step_us,
-            samples=outcome.samples,
-            detail=outcome.detail,
-            records=records,
-            busy_s=time.perf_counter() - start,
-            worker_pid=os.getpid(),
-        ))
-    return outcomes
-
-
-class InlineFleetPool:
-    """Single-process fallback executing shards in the caller."""
-
-    kind = "inline"
-    workers = 1
-
-    def __init__(self, spec: FleetWorkerSpec):
-        self._spec = spec
-        self._state: FleetWorkerState | None = None
-
-    def _ensure(self) -> FleetWorkerState:
-        if self._state is None:
-            self._state = FleetWorkerState(self._spec)
-        return self._state
-
-    def prewarm(self) -> None:
-        return None
-
-    def run_shard(self, tasks) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(run_shard(self._ensure(), tasks))
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
-    def close(self) -> None:
-        self._state = None
-
-
-_STATE: FleetWorkerState | None = None
-
-
-def _pool_init(payload: bytes) -> None:
-    global _STATE
-    _STATE = FleetWorkerState(pickle.loads(payload))
-
-
-def _pool_warmup() -> bool:
-    return _STATE is not None
-
-
-def _pool_run_shard(tasks) -> list[FleetOutcome]:
-    assert _STATE is not None, "worker used before initialization"
-    return run_shard(_STATE, tasks)
-
-
-class FleetProcessPool:
-    """``ProcessPoolExecutor`` wrapper with spec-initialized workers."""
-
-    kind = "process"
-
-    def __init__(self, spec: FleetWorkerSpec, workers: int,
-                 start_method: str | None = None):
-        self.workers = workers
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        context = multiprocessing.get_context(start_method)
-        payload = pickle.dumps(spec)
-        self._executor = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_pool_init,
-            initargs=(payload,),
-        )
-        self._warmup: list[Future] = []
-
-    def prewarm(self) -> None:
-        self._warmup = [
-            self._executor.submit(_pool_warmup) for _ in range(self.workers)
-        ]
-
-    def run_shard(self, tasks) -> Future:
-        return self._executor.submit(_pool_run_shard, list(tasks))
-
-    def close(self) -> None:
-        self._executor.shutdown(wait=True, cancel_futures=True)
-
-
-def make_fleet_pool(spec: FleetWorkerSpec, workers: int,
-                    start_method: str | None = None):
-    """Best available pool; any process-pool failure degrades inline."""
-    if workers <= 1:
-        return InlineFleetPool(spec)
-    try:
-        return FleetProcessPool(spec, workers, start_method)
-    except Exception:
-        return InlineFleetPool(spec)

@@ -35,23 +35,12 @@ from ..core.adaptive import MODE_PARALLEL, AdaptiveVariable, UpdateNode
 from ..distributed.data_parallel import OVERLAP_FRACTION
 from ..obs.metrics import NULL_REGISTRY
 from ..parallel.engine import STATUS_EXHAUSTED, ParallelEngine, plan_wave
+from ..parallel.pool import make_pool
 from ..perf.ranker import fleet_strategy_lo, prune_fleet_strategies
 from .measure import STRATEGY_VAR, FleetMeasurer, strategy_profile_key
-from .pool import FleetTask, FleetWorkerSpec, InlineFleetPool, make_fleet_pool
+from .pool import FleetTask, FleetWorkerSpec
 from .spec import DEFAULT_FLEET, FleetSpec
 from .strategy import Strategy, enumerate_strategies, resolve_weighted_shards
-
-
-class FleetEngine(ParallelEngine):
-    """The wave engine re-pointed at strategy tasks.
-
-    Dispatch, sharding, ordinal-order collection, telemetry and the
-    degrade-to-inline fallback are all inherited; only the fallback
-    pool's task shape differs.
-    """
-
-    def make_inline_pool(self, spec):
-        return InlineFleetPool(spec)
 
 
 @dataclass
@@ -115,7 +104,8 @@ class FleetSearchReport:
             },
             "calibration": dict(self.calibration),
             "table": [
-                {k: v for k, v in row.items() if k != "features"}
+                {k: v for k, v in row.items()
+                 if k not in ("features", "detail")}
                 for row in self.table
             ],
             "engine": dict(self.engine),
@@ -233,9 +223,9 @@ def run_fleet_search(
             use_astra=use_astra, seed=seed, faults=faults,
             seed_entries=tuple(measurer.index.snapshot().items()),
         )
-        pool = make_fleet_pool(spec, workers)
-        engine = FleetEngine(pool, metrics=metrics, tracer=tracer)
-        engine.pool_spec = spec
+        engine = ParallelEngine(
+            make_pool(spec, workers), metrics=metrics, tracer=tracer
+        )
         engine.prewarm()
         try:
             advance_first = False
@@ -273,6 +263,12 @@ def run_fleet_search(
         value = measurer.index.get(
             strategy_profile_key(measurer.context, strategy)
         )
+        # a measured strategy's primitives are all in the index, so
+        # recomposing its detail (replica/stage breakdown) is free
+        detail = (
+            measurer.measure_strategy(strategy).detail
+            if value is not None else None
+        )
         table.append({
             "label": strategy.label,
             "kind": strategy.kind,
@@ -281,6 +277,7 @@ def run_fleet_search(
             "per_sample_us": value,
             "pruned": i not in survivors and value is None,
             "features": feature_rows[i],
+            "detail": detail,
         })
 
     homo_label = homo_us = None

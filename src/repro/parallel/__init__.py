@@ -7,7 +7,6 @@ canonical order -- serial and parallel runs converge to the same winner,
 the same index contents, and the same epoch time.
 """
 
-from .config import ParallelConfig
 from .engine import ParallelEngine, engine_supported, plan_wave
 from .pool import InlinePool, ProcessPool, make_pool
 from .wire import CandidateOutcome, CandidateTask, WorkerSpec
@@ -16,7 +15,6 @@ __all__ = [
     "CandidateOutcome",
     "CandidateTask",
     "InlinePool",
-    "ParallelConfig",
     "ParallelEngine",
     "ProcessPool",
     "WorkerSpec",

@@ -49,6 +49,12 @@ STATUS_SEALED = "sealed"        # blocked on pending values; advance owed
 STATUS_BUDGET = "budget"        # phase budget reached at the last config
 STATUS_LIMIT = "limit"          # wave cap reached; advance owed
 
+#: upper bound on candidates planned per wave.  A wave normally ends when
+#: enumeration seals (every live variable finished its current phase);
+#: the cap only bounds memory for degenerate spaces and is deliberately
+#: worker-count independent so batching never shifts with pool size.
+MAX_WAVE = 32
+
 
 def engine_supported(tree) -> bool:
     """Only the fk shape: a parallel root over plain adaptive variables.
@@ -325,30 +331,7 @@ class ParallelEngine:
         except Exception:
             self.stats.inline_fallbacks += 1
             self.metrics.counter("parallel.inline_fallbacks").inc()
-            inline = self._inline()
-            return inline.run_shard(shard).result()
-
-    def _inline(self):
-        if getattr(self.pool, "kind", None) == "inline":
-            return self.pool
-        if not hasattr(self, "_fallback"):
-            self._fallback = self.make_inline_pool(self.pool_spec)
-        return self._fallback
-
-    def make_inline_pool(self, spec):
-        """Build the in-caller fallback pool for ``_collect`` degradation.
-
-        Subclasses dispatching a different task shape (the fleet engine's
-        strategy tasks) override this with their own inline pool; the
-        collect/degrade machinery above is shared unchanged.
-        """
-        from .pool import InlinePool
-
-        return InlinePool(spec)
-
-    # the wirer sets this right after constructing the engine; kept out
-    # of __init__ so tests can drive the engine with a bare pool
-    pool_spec = None
+            return self.pool.inline().run_shard(shard).result()
 
     def summary(self) -> dict:
         s = self.stats

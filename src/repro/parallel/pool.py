@@ -1,11 +1,19 @@
 """Worker pools: process-backed with an in-process fallback.
 
-Both pools expose the same three calls (``run_shard``, ``run_estimates``,
-``prewarm``) returning futures-like handles, so the engine never branches
-on pool kind.  :func:`make_pool` picks the process pool when it can and
-falls back to :class:`InlinePool` when it can't (``workers <= 1``,
-platforms without working process pools, pickling failures at spawn) --
-degraded throughput, never degraded results.
+One pool serves every engine.  A pool holds a picklable *spec* that names
+its own worker state (``spec.worker()``): the explore engine's
+:class:`~repro.parallel.wire.WorkerSpec` builds a
+:class:`~repro.parallel.worker.WorkerState`, the fleet search's
+:class:`~repro.fleet.pool.FleetWorkerSpec` a
+:class:`~repro.fleet.pool.FleetWorkerState`.  Both states have
+``run_shard``; the explore state also has ``run_estimates``.
+
+Both pools expose the same calls (``run_shard``, ``run_estimates``,
+``prewarm``, ``inline``) returning futures-like handles, so the engine
+never branches on pool kind.  :func:`make_pool` picks the process pool
+when it can and falls back to :class:`InlinePool` when it can't
+(``workers <= 1``, platforms without working process pools, pickling
+failures at spawn) -- degraded throughput, never degraded results.
 """
 
 from __future__ import annotations
@@ -14,8 +22,15 @@ import multiprocessing
 import pickle
 from concurrent.futures import Future, ProcessPoolExecutor
 
-from . import worker as worker_mod
-from .wire import WorkerSpec
+
+def _resolved(call) -> Future:
+    """Run ``call`` now, wrapped in an executor-style future."""
+    future: Future = Future()
+    try:
+        future.set_result(call())
+    except BaseException as exc:  # mirror executor future semantics
+        future.set_exception(exc)
+    return future
 
 
 class InlinePool:
@@ -28,13 +43,13 @@ class InlinePool:
     kind = "inline"
     workers = 1
 
-    def __init__(self, spec: WorkerSpec):
-        self._spec = spec
+    def __init__(self, spec):
+        self.spec = spec
         self._state = None
 
     def _ensure(self):
         if self._state is None:
-            self._state = worker_mod.WorkerState(self._spec)
+            self._state = self.spec.worker()
         return self._state
 
     def prewarm(self) -> None:
@@ -43,22 +58,15 @@ class InlinePool:
         return None
 
     def run_shard(self, tasks) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(worker_mod.run_shard(self._ensure(), tasks))
-        except BaseException as exc:  # mirror executor future semantics
-            future.set_exception(exc)
-        return future
+        return _resolved(lambda: self._ensure().run_shard(list(tasks)))
 
     def run_estimates(self, strategy_id, names) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(
-                worker_mod.run_estimates(self._ensure(), strategy_id, list(names))
-            )
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
+        return _resolved(
+            lambda: self._ensure().run_estimates(strategy_id, list(names))
+        )
+
+    def inline(self) -> "InlinePool":
+        return self
 
     def close(self) -> None:
         self._state = None
@@ -69,22 +77,25 @@ class ProcessPool:
 
     kind = "process"
 
-    def __init__(self, spec: WorkerSpec, workers: int, start_method: str | None = None):
+    def __init__(self, spec, workers: int):
+        self.spec = spec
         self.workers = workers
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            # fork skips re-importing the package per worker and ships the
-            # initializer payload through cheap COW memory
-            start_method = "fork" if "fork" in methods else methods[0]
-        context = multiprocessing.get_context(start_method)
+        # fork skips re-importing the package per worker and ships the
+        # initializer payload through cheap COW memory; platforms without
+        # it use their default
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:
+            context = multiprocessing.get_context()
         payload = pickle.dumps(spec)
         self._executor = ProcessPoolExecutor(
             max_workers=workers,
             mp_context=context,
-            initializer=worker_mod._pool_init,
+            initializer=_pool_init,
             initargs=(payload,),
         )
         self._warmup: list[Future] = []
+        self._inline: InlinePool | None = None
 
     def prewarm(self) -> None:
         """Kick every worker's spawn + initializer without blocking.
@@ -94,26 +105,34 @@ class ProcessPool:
         fleet.  Futures are retained so startup failures surface on the
         first dispatch rather than vanishing."""
         self._warmup = [
-            self._executor.submit(worker_mod._pool_warmup)
-            for _ in range(self.workers)
+            self._executor.submit(_pool_warmup) for _ in range(self.workers)
         ]
 
     def run_shard(self, tasks) -> Future:
-        return self._executor.submit(worker_mod._pool_run_shard, tasks)
+        return self._executor.submit(_pool_run_shard, list(tasks))
 
     def run_estimates(self, strategy_id, names) -> Future:
         return self._executor.submit(
-            worker_mod._pool_run_estimates, strategy_id, list(names)
+            _pool_run_estimates, strategy_id, list(names)
         )
+
+    def inline(self) -> InlinePool:
+        """The in-caller pool a broken worker's shard degrades to, built
+        from this pool's own spec on first use."""
+        if self._inline is None:
+            self._inline = InlinePool(self.spec)
+        return self._inline
 
     def close(self) -> None:
         # wait for worker exit: shutdown(wait=False) leaves the executor's
         # management thread racing interpreter teardown, which surfaces as
         # spurious "Bad file descriptor" noise at exit
         self._executor.shutdown(wait=True, cancel_futures=True)
+        if self._inline is not None:
+            self._inline.close()
 
 
-def make_pool(spec: WorkerSpec, workers: int, start_method: str | None = None):
+def make_pool(spec, workers: int):
     """Build the best pool available for ``workers``.
 
     Any failure to stand up a process pool (unsupported platform,
@@ -123,6 +142,30 @@ def make_pool(spec: WorkerSpec, workers: int, start_method: str | None = None):
     if workers <= 1:
         return InlinePool(spec)
     try:
-        return ProcessPool(spec, workers, start_method)
+        return ProcessPool(spec, workers)
     except Exception:
         return InlinePool(spec)
+
+
+# -- process-pool entry points (module level: picklable by reference) -----
+
+_STATE = None
+
+
+def _pool_init(payload: bytes) -> None:
+    global _STATE
+    _STATE = pickle.loads(payload).worker()
+
+
+def _pool_warmup() -> bool:
+    """No-op task: forces worker spawn + initializer while the parent is
+    still doing its own setup, so the fleet is warm before the first wave."""
+    return _STATE is not None
+
+
+def _pool_run_shard(tasks: list) -> list:
+    return _STATE.run_shard(tasks)
+
+
+def _pool_run_estimates(strategy_id: int, names: list) -> list:
+    return _STATE.run_estimates(strategy_id, names)

@@ -42,6 +42,12 @@ class WorkerSpec:
     #: merged Chrome trace (ts relative to each candidate's start)
     trace: bool = False
 
+    def worker(self):
+        """The worker state this spec rebuilds (one per pool process)."""
+        from .worker import WorkerState
+
+        return WorkerState(self)
+
 
 @dataclass(frozen=True)
 class CandidateTask:

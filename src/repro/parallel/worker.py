@@ -11,9 +11,9 @@ serial bookkeeping would have made is captured in the
 can replay it in canonical order and end up in the same state a serial
 run reaches.
 
-Module-level ``_pool_*`` functions are the process-pool entry points; the
-in-process fallback pool calls the same code with an explicit state, so
-``--workers 1`` and ``--workers N`` execute one implementation.
+The pools in :mod:`repro.parallel.pool` build this state from the spec
+(``WorkerSpec.worker()``) in each worker process or, inline, in the
+caller, so ``--workers 1`` and ``--workers N`` execute one implementation.
 """
 
 from __future__ import annotations
@@ -62,32 +62,30 @@ class WorkerState:
             self._fk_vars[strategy_id] = cached
         return cached
 
+    def run_estimates(self, strategy_id: int, names: list) -> list:
+        """Cost-model estimates for a shard of fk variables.
 
-def run_estimates(state: WorkerState, strategy_id: int, names: list) -> list:
-    """Cost-model estimates for a shard of fk variables.
+        Returns one per-choice estimate list per name, computed by the same
+        pure-float :func:`~repro.perf.ranker.estimate_choice_us` the serial
+        pre-ranker uses -- bit-identical across processes.
+        """
+        from ..perf.ranker import estimate_choice_us
 
-    Returns one per-choice estimate list per name, computed by the same
-    pure-float :func:`~repro.perf.ranker.estimate_choice_us` the serial
-    pre-ranker uses -- bit-identical across processes.
-    """
-    from ..perf.ranker import estimate_choice_us
+        strategy = self.strategies[strategy_id]
+        out = []
+        for name in names:
+            var = self._vars_for(strategy_id)[name]
+            out.append([
+                estimate_choice_us(
+                    self.enumerator, strategy, var, choice, self.spec.device
+                )
+                for choice in var.choices
+            ])
+        return out
 
-    strategy = state.strategies[strategy_id]
-    out = []
-    for name in names:
-        var = state._vars_for(strategy_id)[name]
-        out.append([
-            estimate_choice_us(
-                state.enumerator, strategy, var, choice, state.spec.device
-            )
-            for choice in var.choices
-        ])
-    return out
-
-
-def run_shard(state: WorkerState, tasks: list) -> list:
-    """Measure a contiguous shard of candidates, in ordinal order."""
-    return [measure_candidate(state, task) for task in tasks]
+    def run_shard(self, tasks: list) -> list:
+        """Measure a contiguous shard of candidates, in ordinal order."""
+        return [measure_candidate(self, task) for task in tasks]
 
 
 def measure_candidate(state: WorkerState, task: CandidateTask) -> CandidateOutcome:
@@ -202,27 +200,3 @@ def _encode_error(exc) -> tuple:
         return pickle.dumps(exc), repr(exc)
     except Exception:
         return None, repr(exc)
-
-
-# -- process-pool entry points (module level: picklable by reference) -----
-
-_STATE: WorkerState | None = None
-
-
-def _pool_init(payload: bytes) -> None:
-    global _STATE
-    _STATE = WorkerState(pickle.loads(payload))
-
-
-def _pool_warmup() -> bool:
-    """No-op task: forces worker spawn + initializer while the parent is
-    still doing its own setup, so the fleet is warm before the first wave."""
-    return _STATE is not None
-
-
-def _pool_run_shard(tasks: list) -> list:
-    return run_shard(_STATE, tasks)
-
-
-def _pool_run_estimates(strategy_id: int, names: list) -> list:
-    return run_estimates(_STATE, strategy_id, names)

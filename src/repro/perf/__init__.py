@@ -8,9 +8,9 @@ identical while removing the redundant work:
 * :mod:`repro.perf.signature` -- stable structural signatures for
   execution plans (fusion groups, library choices, stream map, barriers,
   profiling set, allocation identity);
-* :mod:`repro.perf.cache` -- the plan-signature compilation cache that
-  memoizes lowering (full schedules, and the dependency/order analysis
-  shared across structurally identical plans);
+* :mod:`repro.perf.cache` -- the plan-structure compilation cache that
+  memoizes the dependency/order analysis shared across structurally
+  identical plans;
 * :mod:`repro.perf.ranker` -- the cost-model-guided pre-ranker that
   prunes provably-losing fusion/kernel choices before any simulated
   mini-batch is spent on them (``--no-prune`` restores exhaustive

@@ -1,7 +1,7 @@
 """Differential test of the compilation cache (the tentpole's correctness
 contract): a cache-served lowering serializes bit-identically to a fresh
 ``Dispatcher.lower`` of the same plan -- for every bundled model, on
-every tier of the cache, and after a checkpoint/resume cycle."""
+a miss and on a hit, and after a checkpoint/resume cycle."""
 
 import pytest
 
@@ -20,7 +20,9 @@ MODEL_FIXTURES = (
 
 def _plans(graph, features="FK"):
     """A spread of structurally different plans for one graph: the default
-    assignment of each strategy, plus a profiling-restricted variant."""
+    assignment of each strategy, the first strategy with every variable at
+    its last choice (a different fusion, so a different unit structure),
+    plus a profiling-restricted variant."""
     enum = Enumerator(graph, P100, AstraFeatures.preset(features))
     out = []
     for strategy in enum.strategies:
@@ -28,6 +30,10 @@ def _plans(graph, features="FK"):
         tree.initialize()
         plan = enum.build_plan(strategy, tree.assignment()).plan
         out.append(plan)
+    strategy = enum.strategies[0]
+    tree = enum.build_fk_tree(strategy)
+    last = {var.name: var.choices[-1] for var in tree.variables()}
+    out.append(enum.build_plan(strategy, last).plan)
     import dataclasses
     first = out[0]
     out.append(dataclasses.replace(
@@ -46,18 +52,12 @@ def test_cached_lowering_bit_identical(fixture, request):
         fresh_doc = schedule_to_dict(dispatcher.lower(plan))
         # first sighting: structure miss (deps/order computed and stored)
         miss = cache.lower(dispatcher, plan)
-        # second: structure hit, schedule miss (deps/order from cache)
+        # second: structure hit (deps/order from cache)
         structure_hit = cache.lower(dispatcher, plan)
-        # third: full schedule hit (re-bound to the caller's plan)
-        schedule_hit = cache.lower(dispatcher, plan)
         assert schedule_to_dict(miss) == fresh_doc
         assert schedule_to_dict(structure_hit) == fresh_doc
-        assert schedule_to_dict(schedule_hit) == fresh_doc
-        assert schedule_hit.plan is plan
     stats = cache.stats()
-    # every plan reached the schedule tier at least once; the profiling
-    # variant shares its structure entry with its parent plan
-    assert stats["schedule_hits"] >= len(_plans(graph))
+    # the profiling variant shares its structure entry with its parent plan
     assert stats["structure_hits"] >= 1
     assert stats["structure_misses"] >= 1
 
@@ -119,9 +119,8 @@ def test_eviction_respects_capacity(tiny_scrnn):
     assert len(plans) >= 2
     for plan in plans:
         cache.lower(dispatcher, plan)
-        cache.lower(dispatcher, plan)  # populate the schedule tier too
+        cache.lower(dispatcher, plan)
     stats = cache.stats()
-    assert stats["schedule_entries"] <= 1
     assert stats["structure_entries"] <= 1
     assert stats["evictions"] > 0
 

@@ -1,16 +1,57 @@
-"""Tests for the multi-GPU data-parallel dimension (§3.4 extension)."""
+"""Tests for the multi-GPU dimension (§3.4 degree, §6.7 partitioning).
+
+The fabrics and cost terms live in ``repro.distributed``; the degree and
+the kind of partitioning are chosen by the fleet strategy search, so the
+behavioural tests drive ``run_fleet_search`` (exhaustive) on homogeneous
+P100 fleets.
+"""
 
 import pytest
 
-from repro.distributed import (
-    NVLINK,
-    PCIE,
-    choose_parallelism,
-    gradient_bytes,
-    measure_degree,
-)
-from repro.models import build_sublstm
+import repro.models.stacked_lstm as ST
+import repro.models.sublstm as SU
+from repro.distributed import NVLINK, PCIE, gradient_bytes
+from repro.fleet import FleetDevice, FleetSpec, run_fleet_search
+from repro.gpu import P100
+from repro.models import build_stacked_lstm, build_sublstm
 from tests.conftest import TINY
+
+STACK = ST.DEFAULT_CONFIG.scaled(batch_size=16, seq_len=3, num_layers=4,
+                                 hidden_size=256, embed_size=256)
+
+
+def _search(builder, config, count, fabric=PCIE, **kwargs):
+    fleet = FleetSpec(
+        name=f"p100x{count}_{fabric.name}",
+        devices=tuple(FleetDevice(f"gpu{i}", P100) for i in range(count)),
+        interconnect=fabric,
+    )
+    return run_fleet_search(builder, config, fleet, exhaustive=True, **kwargs)
+
+
+def _rows(report, kind):
+    return [row for row in report.table if row["kind"] == kind]
+
+
+def _data_row(report, world):
+    return next(
+        row for row in _rows(report, "data")
+        if len(row["detail"]["replicas"]) == world
+    )
+
+
+def _stages(row):
+    return len(row["detail"]["stages"])
+
+
+@pytest.fixture(scope="module")
+def sublstm_x4():
+    return _search(build_sublstm, TINY.scaled(batch_size=8), 4)
+
+
+@pytest.fixture(scope="module")
+def stack_x4():
+    return _search(build_stacked_lstm, STACK, 4)
 
 
 class TestInterconnect:
@@ -39,20 +80,16 @@ class TestInterconnect:
 
 
 class TestMeasureDegree:
-    def test_strong_scaling_divides_batch(self):
-        config = TINY.scaled(batch_size=8)
-        m = measure_degree(build_sublstm, config, world=4)
-        assert m.per_replica_batch == 2
+    """One data-parallel degree, as the fleet search measures it."""
 
-    def test_weak_scaling_keeps_batch(self):
-        config = TINY.scaled(batch_size=8)
-        m = measure_degree(build_sublstm, config, world=4, strong_scaling=False)
-        assert m.per_replica_batch == 8
+    def test_strong_scaling_divides_batch(self, sublstm_x4):
+        replicas = _data_row(sublstm_x4, 4)["detail"]["replicas"]
+        assert [r["shard"] for r in replicas] == [2, 2, 2, 2]
 
-    def test_communication_overlap_bounded(self):
-        config = TINY.scaled(batch_size=8)
-        m = measure_degree(build_sublstm, config, world=4)
-        assert 0 <= m.exposed_comm_us <= m.allreduce_us
+    def test_communication_overlap_bounded(self, sublstm_x4):
+        for row in _rows(sublstm_x4, "data"):
+            detail = row["detail"]
+            assert 0 <= detail["exposed_comm_us"] <= detail["allreduce_us"]
 
     def test_gradient_bytes_counts_params(self, tiny_sublstm):
         assert gradient_bytes(tiny_sublstm.graph) == sum(
@@ -62,91 +99,78 @@ class TestMeasureDegree:
     def test_astra_inside_replicas(self):
         """Section 6.7: single-GPU adaptation benefits each replica."""
         config = TINY.scaled(batch_size=8)
-        plain = measure_degree(build_sublstm, config, world=2)
-        tuned = measure_degree(build_sublstm, config, world=2, use_astra=True)
-        assert tuned.compute_us < plain.compute_us
-        assert tuned.astra_speedup > 1.0
+        plain = _data_row(_search(build_sublstm, config, 2), 2)
+        tuned = _data_row(
+            _search(build_sublstm, config, 2, use_astra=True), 2
+        )
+        for p, t in zip(plain["detail"]["replicas"],
+                        tuned["detail"]["replicas"]):
+            assert t["compute_us"] < p["compute_us"]
+        assert tuned["per_sample_us"] < plain["per_sample_us"]
 
 
 class TestChooseParallelism:
-    def test_sorted_by_per_sample_time(self):
-        config = TINY.scaled(batch_size=16)
-        ms = choose_parallelism(build_sublstm, config, degrees=(1, 2, 4))
-        per_sample = [m.per_sample_us for m in ms]
-        assert per_sample == sorted(per_sample)
+    """The degree is picked by measuring every candidate."""
+
+    def test_sorted_by_per_sample_time(self, sublstm_x4):
+        fastest = min(row["per_sample_us"] for row in sublstm_x4.table)
+        assert sublstm_x4.winner_per_sample_us == fastest
 
     def test_fabric_changes_the_answer(self):
         """The paper's point: the ideal degree depends on the physical
         network, so it must be measured per deployment."""
-        config = TINY.scaled(batch_size=16, hidden_size=64, embed_size=64)
-        pcie = choose_parallelism(build_sublstm, config, degrees=(1, 2, 4),
-                                  interconnect=PCIE)
-        nvlink = choose_parallelism(build_sublstm, config, degrees=(1, 2, 4),
-                                    interconnect=NVLINK)
-        # NVLink's winner scales at least as far as PCIe's
-        assert nvlink[0].world >= pcie[0].world
+        config = SU.DEFAULT_CONFIG.scaled(batch_size=64, seq_len=2)
+        pcie = _search(build_sublstm, config, 4, PCIE)
+        nvlink = _search(build_sublstm, config, 4, NVLINK)
+        # the faster fabric makes a larger degree pay
+        assert nvlink.winner.world > pcie.winner.world
 
     def test_degrees_beyond_batch_skipped(self):
-        config = TINY.scaled(batch_size=2)
-        ms = choose_parallelism(build_sublstm, config, degrees=(1, 2, 4, 8))
-        assert {m.world for m in ms} <= {1, 2, 4, 8}
+        report = _search(build_sublstm, TINY.scaled(batch_size=2), 4)
+        assert {len(r["detail"]["replicas"]) for r in report.table} == {1, 2}
 
-    def test_scaling_efficiency_baseline(self):
-        config = TINY.scaled(batch_size=16)
-        ms = choose_parallelism(build_sublstm, config, degrees=(1, 2))
-        base = next(m for m in ms if m.world == 1)
-        assert base.scaling_efficiency == pytest.approx(1.0)
+    def test_scaling_efficiency_baseline(self, sublstm_x4):
+        """The single-GPU row, the baseline every efficiency is taken
+        against, is always measured and pays no communication."""
+        base = _data_row(sublstm_x4, 1)
+        assert base["per_sample_us"] is not None
+        assert base["detail"]["allreduce_us"] == 0.0
+        assert base["detail"]["exposed_comm_us"] == 0.0
 
 
 class TestPipeline:
-    def test_stages_partition_layers(self):
-        from repro.distributed import measure_pipeline
-        from repro.models import build_stacked_lstm
-        import repro.models.stacked_lstm as ST
+    """Pipeline cuts of the layer stack, measured beside data parallelism."""
 
-        cfg = ST.DEFAULT_CONFIG.scaled(batch_size=16, seq_len=3, num_layers=4,
-                                       hidden_size=256, embed_size=256)
-        pipe = measure_pipeline(build_stacked_lstm, cfg, num_stages=2)
-        assert pipe.num_stages == 2
-        all_scopes = [s for stage in pipe.stages for s in stage.scopes]
-        assert sorted(all_scopes) == sorted(set(all_scopes))  # disjoint
-        assert all(stage.compute_us > 0 for stage in pipe.stages)
+    def test_stages_partition_layers(self, stack_x4):
+        for row in _rows(stack_x4, "pipeline"):
+            stages = row["detail"]["stages"]
+            all_scopes = [s for stage in stages for s in stage["scopes"]]
+            assert sorted(all_scopes) == sorted(set(all_scopes))  # disjoint
+            assert len(all_scopes) == 4  # every layer placed
+            assert all(stage["compute_us"] > 0 for stage in stages)
 
-    def test_bubble_grows_with_stages(self):
-        from repro.distributed import measure_pipeline
-        from repro.models import build_stacked_lstm
-        import repro.models.stacked_lstm as ST
+    def test_bubble_grows_with_stages(self, stack_x4):
+        def slots(row):
+            detail = row["detail"]
+            samples = detail["microbatch"] * 4
+            return row["per_sample_us"] * samples / detail["beat_us"]
 
-        cfg = ST.DEFAULT_CONFIG.scaled(batch_size=16, seq_len=3, num_layers=4,
-                                       hidden_size=256, embed_size=256)
-        two = measure_pipeline(build_stacked_lstm, cfg, num_stages=2)
-        four = measure_pipeline(build_stacked_lstm, cfg, num_stages=4)
+        rows = _rows(stack_x4, "pipeline")
+        two = max(slots(r) for r in rows if _stages(r) == 2)
+        four = min(slots(r) for r in rows if _stages(r) == 4)
         # deeper pipelines pay more bubble slots
-        assert four.step_us / four.beat_us > two.step_us / two.beat_us
+        assert four > two
 
     def test_too_many_stages_rejected(self):
-        from repro.distributed import measure_pipeline
-        from repro.models import build_sublstm
-
-        with pytest.raises(ValueError):
-            measure_pipeline(build_sublstm, TINY, num_stages=5)
+        report = _search(build_stacked_lstm, STACK.scaled(num_layers=2), 4)
+        assert {_stages(r) for r in _rows(report, "pipeline")} == {2}
 
     def test_partitioning_decision_measured(self):
-        from repro.distributed import choose_partitioning
-        from repro.models import build_stacked_lstm
-        import repro.models.stacked_lstm as ST
-
-        cfg = ST.DEFAULT_CONFIG.scaled(batch_size=16, seq_len=3, num_layers=4,
-                                       hidden_size=256, embed_size=256)
-        decisions = choose_partitioning(build_stacked_lstm, cfg, world=2)
-        kinds = {d.kind for d in decisions}
-        assert kinds == {"data", "pipeline"}
-        per_sample = [d.per_sample_us for d in decisions]
-        assert per_sample == sorted(per_sample)
+        report = _search(build_stacked_lstm, STACK, 2)
+        assert {row["kind"] for row in report.table} == {"data", "pipeline"}
+        fastest = min(row["per_sample_us"] for row in report.table)
+        assert report.winner_per_sample_us == fastest
 
     def test_single_layer_model_has_no_pipeline_option(self):
-        from repro.distributed import choose_partitioning
-        from repro.models import build_sublstm
-
-        decisions = choose_partitioning(build_sublstm, TINY, world=3)
-        assert {d.kind for d in decisions} == {"data"}
+        report = _search(build_sublstm, TINY, 3)
+        assert {row["kind"] for row in report.table} == {"data"}
