@@ -25,8 +25,22 @@ class EventNamespace:
 
 @dataclass(frozen=True)
 class EventId:
+    """One event's identity.  Equality and hash are those of the frozen
+    dataclass; the hash is computed once, since the simulator looks
+    events up in dicts on every completion and ready scan."""
+
     index: int
     label: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.index, self.label)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild on unpickle: a string hash differs between processes
+        return (EventId, (self.index, self.label))
 
     def __str__(self) -> str:
         return f"ev{self.index}" + (f"({self.label})" if self.label else "")

@@ -22,7 +22,9 @@ profiler computes the fine-grained measurements that drive adaptation.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -142,34 +144,48 @@ class ExecutionResult:
 
 
 class _Running:
-    """A kernel currently executing, tracked in slot-microseconds."""
+    """A kernel currently executing, tracked in slot-microseconds.
 
-    __slots__ = ("record", "cap", "work_left", "rate", "uses_sms")
+    ``cap`` is the kernel's parallelism as a float; copy-engine work
+    (``cap`` 0) never shares SMs and runs at ``rate`` 1.0 throughout.
+    """
 
-    def __init__(self, record: KernelRecord, cap: int, work: float, uses_sms: bool):
+    __slots__ = ("record", "cap", "work_left", "rate")
+
+    def __init__(self, record: KernelRecord, cap: float, work: float, rate: float):
         self.record = record
-        self.cap = max(1, cap)
+        self.cap = cap
         self.work_left = work
-        self.rate = 0.0
-        self.uses_sms = uses_sms
+        self.rate = rate
 
 
-def _waterfill(running: list[_Running], slots: int) -> None:
+def head_start(issue: float, wait_ends, last_done: float) -> float:
+    """The start rule: a stream's head kernel starts at the latest of its
+    issue time, the end of every event it waits on, and the end of the
+    stream's previous kernel (FIFO).
+
+    The simulator applies it when a head becomes ready, and
+    :mod:`repro.obs.whatif` replays recorded timelines with it.  Each
+    comparison is the one builtin ``max`` makes, so the result is exact.
+    """
+    start = issue
+    for end in wait_ends:
+        if end > start:
+            start = end
+    return last_done if last_done > start else start
+
+
+def _waterfill(sharers: list[_Running], slots: float) -> None:
     """Max-min fair allocation of SM slots among resident kernels.
 
-    Each kernel is capped by its own available parallelism; copy-engine
-    work (``uses_sms=False``) always progresses at unit rate.
+    ``sharers`` holds the SM users sorted by cap, ties in start order;
+    each kernel is capped by its own available parallelism.
     """
-    sharers = [r for r in running if r.uses_sms]
-    for r in running:
-        if not r.uses_sms:
-            r.rate = 1.0
-    remaining = float(slots)
-    pending = sorted(sharers, key=lambda r: r.cap)
-    count = len(pending)
-    for r in pending:
+    remaining = slots
+    count = len(sharers)
+    for r in sharers:
         share = remaining / count
-        alloc = min(float(r.cap), share)
+        alloc = share if share < r.cap else r.cap
         r.rate = alloc
         remaining -= alloc
         count -= 1
@@ -231,6 +247,9 @@ class StreamSimulator:
     def _duration(self, kernel: Kernel) -> float:
         """Execution time of one kernel instance: model time, autoboost
         jitter, then any injected straggler/throttle multiplier."""
+        if self.injector is None and self.device.clock_mode != CLOCK_AUTOBOOST:
+            # x * 1.0 == x: the model time, and no RNG draw
+            return kernel.duration_us(self.device)
         duration = kernel.duration_us(self.device) * self._jitter()
         if self.injector is not None:
             duration *= self.injector.kernel_multiplier(kernel.kind)
@@ -322,182 +341,217 @@ class StreamSimulator:
         )
 
     def _run_concurrent(self, items: list[DispatchItem]) -> ExecutionResult:
+        """Processor-sharing DES over FIFO streams.
+
+        The work per event is incremental.  Ready stream heads are
+        rescanned only after a completion, which is also the only time the
+        dispatch thread can resume issuing; a start-only step just drops
+        the started heads.  The running SM users stay sorted by cap, and
+        the waterfill reruns only when that set changes.  The float
+        expressions and their order, and the order of :meth:`_duration`
+        calls (the jitter and injector RNG draw order), are a fixed
+        contract (``docs/simulator.md``) that
+        ``tests/gpu/test_des_golden.py`` pins bit for bit.
+        """
         device = self.device
-        slots = device.sm_slots
+        slots = float(device.sm_slots)
+        launch_us = device.launch_overhead_us
+        event_us = device.event_overhead_us
+        barrier_us = device.barrier_overhead_us
+        eps = _EPS
+        n_items = len(items)
 
         event_times: dict[EventId, float] = {}
         records: list[KernelRecord] = []
-        # stream id -> list of (record, waits, record_event) not yet started
-        stream_queues: dict[int, list] = {}
-        # stream id -> completion time of the last *finished* kernel (for bare event records)
+        # stream id -> (record, waits, events to stamp) not yet finished;
+        # streams keep their first-launch order, which breaks start ties
+        stream_queues: dict[int, deque] = {}
+        # stream id -> completion time of the last *finished* kernel
         stream_last_done: dict[int, float] = {}
-        # events attached to kernels: kernel record -> list of events to stamp
+        # executing kernels in start order; at most one per stream
         running: list[_Running] = []
+        # the SM users among them, sorted by cap (ties in start order)
+        sharers: list[_Running] = []
+        # ready stream heads as (start, record), in stream order
+        ready: list[tuple[float, KernelRecord]] = []
         profiling_overhead = 0.0
 
         cpu_time = 0.0
         idx = 0
-        blocked_on: EventId | None | str = "none"  # "none" = not blocked
         sim_time = 0.0
         in_flight = 0  # launched but unfinished kernels
 
         def issue_until_blocked() -> None:
-            nonlocal cpu_time, idx, blocked_on, in_flight, profiling_overhead
-            while idx < len(items):
+            nonlocal cpu_time, idx, in_flight, profiling_overhead
+            while idx < n_items:
                 item = items[idx]
-                if isinstance(item, LaunchItem):
-                    cpu_time += device.launch_overhead_us
+                kind = type(item)
+                if kind is LaunchItem:
+                    cpu_time += launch_us
                     self._check_launch(item)
-                    rec = KernelRecord(item.kernel, item.stream, issue_time=cpu_time)
+                    rec = KernelRecord(item.kernel, item.stream, cpu_time)
                     events = []
                     if item.record is not None:
-                        cpu_time += device.event_overhead_us
+                        cpu_time += event_us
                         if item.record_is_profiling:
-                            profiling_overhead += device.event_overhead_us
+                            profiling_overhead += event_us
                             self._mark_profiled_record(len(records))
                         events.append(item.record)
-                    stream_queues.setdefault(item.stream, []).append(
-                        (rec, tuple(item.waits), tuple(events))
-                    )
+                    queue = stream_queues.get(item.stream)
+                    if queue is None:
+                        queue = stream_queues[item.stream] = deque()
+                    queue.append((rec, item.waits, events))
                     records.append(rec)
                     in_flight += 1
-                elif isinstance(item, RecordEventItem):
-                    cpu_time += device.event_overhead_us
-                    profiling_overhead += device.event_overhead_us
-                    queue = stream_queues.get(item.stream, [])
+                elif kind is RecordEventItem:
+                    cpu_time += event_us
+                    profiling_overhead += event_us
+                    queue = stream_queues.get(item.stream)
                     if queue:
                         # piggyback on the last launched kernel in the stream
-                        rec, waits, events = queue[-1]
-                        queue[-1] = (rec, waits, events + (item.event,))
+                        queue[-1][2].append(item.event)
                     else:
                         # stream idle: event completes immediately at CPU time
                         event_times[item.event] = max(
                             cpu_time, stream_last_done.get(item.stream, 0.0)
                         )
-                elif isinstance(item, HostComputeItem):
+                elif kind is HostComputeItem:
                     cpu_time += item.duration_us
-                elif isinstance(item, HostSyncItem):
+                elif kind is HostSyncItem:
                     if item.event is None:
                         if in_flight > 0:
-                            blocked_on = None
                             return
-                        cpu_time = max(cpu_time, sim_time) + device.barrier_overhead_us
+                        cpu_time = max(cpu_time, sim_time) + barrier_us
                     else:
-                        if item.event not in event_times:
-                            blocked_on = item.event
+                        done = event_times.get(item.event)
+                        if done is None:
                             return
-                        cpu_time = (
-                            max(cpu_time, event_times[item.event])
-                            + device.barrier_overhead_us
-                        )
+                        cpu_time = max(cpu_time, done) + barrier_us
                 else:  # pragma: no cover - defensive
                     raise TypeError(f"unknown dispatch item {item!r}")
                 idx += 1
-            blocked_on = "none"
 
-        def try_unblock() -> None:
-            nonlocal cpu_time, idx, blocked_on
-            if idx >= len(items):
-                return
-            item = items[idx]
-            if not isinstance(item, HostSyncItem):
-                return
-            if item.event is None:
-                if in_flight == 0:
-                    cpu_time = max(cpu_time, sim_time) + device.barrier_overhead_us
-                    idx += 1
-                    blocked_on = "none"
-                    issue_until_blocked()
-            elif item.event in event_times:
-                cpu_time = max(cpu_time, event_times[item.event]) + device.barrier_overhead_us
-                idx += 1
-                blocked_on = "none"
-                issue_until_blocked()
-
-        def ready_time(stream: int) -> tuple | None:
-            """Head-of-stream kernel's earliest start, or None if not ready."""
-            queue = stream_queues.get(stream)
-            if not queue:
-                return None
-            rec, waits, events = queue[0]
-            if rec.start_time >= 0.0:
-                return None  # already running
-            if any(ev not in event_times for ev in waits):
-                return None
-            start = rec.issue_time
-            for ev in waits:
-                start = max(start, event_times[ev])
-            start = max(start, stream_last_done.get(stream, 0.0))
-            return (start, stream, rec, events)
+        def scan_ready() -> float | None:
+            """Rebuild ``ready`` from every unstarted head whose waits are
+            all recorded; returns the earliest start."""
+            ready.clear()
+            earliest = None
+            for stream, queue in stream_queues.items():
+                if not queue:
+                    continue
+                rec, waits, _events = queue[0]
+                if rec.start_time >= 0.0:
+                    continue  # already running
+                ends = [event_times.get(ev) for ev in waits] if waits else waits
+                if None in ends:
+                    continue  # an awaited event is not recorded yet
+                start = head_start(
+                    rec.issue_time, ends, stream_last_done.get(stream, 0.0)
+                )
+                ready.append((start, rec))
+                if earliest is None or start < earliest:
+                    earliest = start
+            return earliest
 
         issue_until_blocked()
+        next_start = scan_ready()
 
         # Main event loop.
         while True:
-            candidates = [c for c in (ready_time(s) for s in list(stream_queues)) if c]
-            next_start = min(candidates, key=lambda c: c[0]) if candidates else None
-
-            _waterfill(running, slots)
             next_completion = None
             for r in running:
-                if r.rate <= 0:
+                rate = r.rate
+                if rate <= 0:
                     continue
-                finish = sim_time + r.work_left / r.rate
-                if next_completion is None or finish < next_completion[0]:
-                    next_completion = (finish, r)
+                finish = sim_time + r.work_left / rate
+                if next_completion is None or finish < next_completion:
+                    next_completion = finish
 
-            moments = []
-            if next_start is not None:
-                moments.append(next_start[0])
-            if next_completion is not None:
-                moments.append(next_completion[0])
-            if not moments:
-                if any(stream_queues.values()) or running:
-                    raise RuntimeError(
-                        "deadlock: kernels pending but no progress possible "
-                        "(wait on an event that is never recorded?)"
-                    )
-                break
+            if next_start is None:
+                if next_completion is None:
+                    if running or any(stream_queues.values()):
+                        raise RuntimeError(
+                            "deadlock: kernels pending but no progress possible "
+                            "(wait on an event that is never recorded?)"
+                        )
+                    break
+                new_time = next_completion
+            elif next_completion is None or next_start <= next_completion:
+                new_time = next_start
+            else:
+                new_time = next_completion
 
-            new_time = min(moments)
-            # progress running kernels
+            # progress running kernels, collecting the finished ones
+            dt = new_time - sim_time
+            finished = None
             for r in running:
-                r.work_left -= r.rate * (new_time - sim_time)
+                r.work_left -= r.rate * dt
+                if r.work_left <= eps:
+                    if finished is None:
+                        finished = [r]
+                    else:
+                        finished.append(r)
             sim_time = new_time
 
             # completions first (frees stream heads and events)
-            finished = [r for r in running if r.work_left <= _EPS]
-            for r in finished:
-                running.remove(r)
-                r.record.end_time = sim_time
-                stream = r.record.stream
-                queue = stream_queues[stream]
-                entry = queue.pop(0)
-                stream_last_done[stream] = sim_time
-                for ev in entry[2]:
-                    event_times[ev] = sim_time
-                in_flight -= 1
-            if finished:
-                try_unblock()
+            if finished is not None:
+                running = [r for r in running if r.work_left > eps]
+                refill = False
+                for r in finished:
+                    refill = refill or r.cap > 0.0
+                    rec = r.record
+                    rec.end_time = sim_time
+                    stream = rec.stream
+                    _rec, _waits, events = stream_queues[stream].popleft()
+                    stream_last_done[stream] = sim_time
+                    for ev in events:
+                        event_times[ev] = sim_time
+                    in_flight -= 1
+                if refill:
+                    sharers = [r for r in sharers if r.work_left > eps]
+                    _waterfill(sharers, slots)
+                # the dispatch thread is parked on the host sync at idx
+                # (if any): resume it once that sync can pass
+                if idx < n_items:
+                    sync = items[idx].event
+                    if in_flight == 0 if sync is None else sync in event_times:
+                        issue_until_blocked()
+                next_start = scan_ready()
                 continue
 
             # otherwise, start every kernel that is ready at this instant
-            started_any = False
-            for cand in sorted(candidates, key=lambda c: c[0]):
-                start, stream, rec, _events = cand
-                if start <= sim_time + _EPS and not any(
-                    r.record is rec for r in running
-                ):
-                    rec.start_time = sim_time
-                    kernel = rec.kernel
-                    cap = kernel.parallelism(device)
-                    uses_sms = cap > 0
-                    base = self._duration(kernel)
-                    work = base * (max(1, cap) if uses_sms else 1.0)
-                    running.append(_Running(rec, cap, work, uses_sms))
-                    started_any = True
-            if not started_any and next_completion is None:
-                raise RuntimeError("simulation stalled without progress")
+            due_by = sim_time + eps
+            due = [c for c in ready if c[0] <= due_by]
+            if not due:
+                if next_completion is None:
+                    raise RuntimeError("simulation stalled without progress")
+                continue
+            if len(due) > 1:
+                due.sort(key=itemgetter(0))
+            refill = False
+            for _start, rec in due:
+                rec.start_time = sim_time
+                kernel = rec.kernel
+                cap = kernel.parallelism(device)
+                base = self._duration(kernel)
+                if cap > 0:
+                    r = _Running(rec, float(cap), base * cap, 0.0)
+                    pos = len(sharers)
+                    while pos and sharers[pos - 1].cap > r.cap:
+                        pos -= 1
+                    sharers.insert(pos, r)
+                    refill = True
+                else:
+                    r = _Running(rec, 0.0, base, 1.0)
+                running.append(r)
+            if refill:
+                _waterfill(sharers, slots)
+            if len(due) == len(ready):
+                ready.clear()
+                next_start = None
+            else:
+                ready[:] = [c for c in ready if c[0] > due_by]
+                next_start = min(c[0] for c in ready)
 
         total = max([cpu_time] + [r.end_time for r in records] + [sim_time])
         return ExecutionResult(

@@ -3,10 +3,10 @@
 Answers "what would the epoch time be if kernel K were X times faster /
 used a different GEMM library / were removed?" by *replaying* the
 recorded timeline through the dependency graph with modified durations --
-no simulator re-run.  The replay reuses the exact start rule the
-simulator applies (``start = max(issue, wait-producer ends, stream
-FIFO)``) with issue times held fixed: dispatch is serialized CPU work
-whose cost does not depend on how long kernels run.
+no simulator re-run.  The replay calls the simulator's own start rule,
+:func:`repro.gpu.streams.head_start` (``start = max(issue, wait-producer
+ends, stream FIFO)``), with issue times held fixed: dispatch is
+serialized CPU work whose cost does not depend on how long kernels run.
 
 Exactness: for a single-stream schedule at base clock the projection is
 *exact* (the replay is the simulator's own recurrence).  With concurrent
@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..gpu.kernels import GemmLaunch
+from ..gpu.streams import head_start
 from .analysis import TimelineGraph
 
 
@@ -100,10 +101,11 @@ def project(graph: TimelineGraph, changes: list[WhatIfChange],
     last_done: dict[int, float] = {}
     times: dict[int, tuple[float, float]] = {}
     for node in graph.nodes:
-        start = node.issue + shift.get(node.index, 0.0)
-        start = max(start, last_done.get(node.stream, 0.0))
-        for p in graph.wait_producers.get(node.index, ()):
-            start = max(start, times[p][1])
+        start = head_start(
+            node.issue + shift.get(node.index, 0.0),
+            [times[p][1] for p in graph.wait_producers.get(node.index, ())],
+            last_done.get(node.stream, 0.0),
+        )
         end = start + new_dur.get(node.index, node.duration)
         times[node.index] = (start, end)
         last_done[node.stream] = end

@@ -1,5 +1,10 @@
 """Tests for the cudaEvent analog."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 from repro.gpu import EventId, EventNamespace, ProfileRange
 
 
@@ -23,6 +28,24 @@ class TestEventNamespace:
         e1 = ns.new_event("x")
         assert e1 in {e1}
         assert EventId(0, "x") == EventId(0, "x")
+
+    def test_cached_hash_is_rebuilt_in_another_process(self):
+        """The hash is the dataclass's ``hash((index, label))``, computed
+        once; a pickled event (sent to a pool worker) must hash like a
+        fresh one there, although str hashes differ between processes."""
+        ev = EventId(3, "epoch")
+        assert hash(ev) == hash((3, "epoch"))
+        child = (
+            "import pickle, sys\n"
+            "from repro.gpu import EventId\n"
+            "ev = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert hash(ev) == hash((3, 'epoch'))\n"
+            "assert {EventId(3, 'epoch'): 1}[ev] == 1\n"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "12345",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", child], input=pickle.dumps(ev),
+                       env=env, check=True, timeout=60)
 
 
 class TestProfileRange:
