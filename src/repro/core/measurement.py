@@ -15,11 +15,17 @@ The policy also owns the failure-handling knobs: how many times a
 measurement aborted by a transient fault is retried, how the retry
 backoff grows, and when a configuration that keeps faulting is
 quarantined out of the search space.
+
+:func:`sample_plan` is the one loop that applies the policy to a plan.
+It records what happened as a :class:`CandidateOutcome` and acts on
+nothing; the wirer replays that log into its bookkeeping, whether the
+sampler ran on the wirer's own executor or in a parallel worker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 #: profile-index value recorded for quarantined configurations: large
 #: enough that finalize() never picks one over any real measurement, small
@@ -101,3 +107,97 @@ def robust_min(values: list[float], threshold: float = 3.5) -> float:
     Rejection matters on the *low* side: a corrupted timestamp that
     deflates a duration would otherwise win the min outright."""
     return min(reject_outliers(values, threshold))
+
+
+@dataclass
+class SampleRecord:
+    """Event log of one measurement sample (one budget charge).
+
+    ``aborts`` lists the transient faults the retry loop caught, in
+    order; ``result`` is the measurement, or None when the sample was
+    lost (attempt budget exhausted) or cut short by the error recorded on
+    the outcome.
+    """
+
+    aborts: list = field(default_factory=list)  # [(kind, message), ...]
+    result: object = None  # MiniBatchResult | None
+
+
+@dataclass
+class CandidateOutcome:
+    """Everything observed measuring one configuration."""
+
+    #: candidate position in its wave (0 for a serial measurement)
+    ordinal: int = 0
+    samples: list = field(default_factory=list)  # [SampleRecord, ...]
+    #: var name -> unit ids of the measured plan (the metric extraction
+    #: reads them; a worker ships them instead of the plan itself)
+    var_units: dict = field(default_factory=dict)
+    #: executor counter deltas (fault.*, check.*) a worker recorded in its
+    #: own registry, merged into the parent's at the merge position
+    counters: dict = field(default_factory=dict)
+    #: a worker's injector sub-state side effects (None when no injector)
+    injector_records: list = field(default_factory=list)
+    injector_minibatch: int | None = None
+    injector_preempted: bool = False
+    #: the error that cut the configuration short: preemption, schedule
+    #: violations, or a non-transient fault.  The exception object itself;
+    #: only between a worker and its pool is it pickled bytes
+    error: object = None
+    error_repr: str | None = None
+    #: schedule-validation violations to replay into the run report
+    violations: list = field(default_factory=list)  # [(label, kind, text)]
+    #: worker wall seconds spent on this candidate (utilization metric)
+    busy_s: float = 0.0
+    #: host-side trace spans recorded while measuring this candidate
+    #: (Chrome-event dicts; ts relative to the candidate's own start;
+    #: empty unless the worker spec requested tracing)
+    spans: list = field(default_factory=list)
+    #: os pid of the worker that measured this candidate (trace track key)
+    worker_pid: int = 0
+
+
+def sample_plan(executor, plan, policy: MeasurementPolicy,
+                on_sample=None) -> CandidateOutcome:
+    """Measure ``plan`` on ``executor`` under ``policy``.
+
+    Runs ``policy.samples`` mini-batches, each retried on transient faults up to ``policy.max_attempts`` times.  A
+    retried plan is statically re-validated even when the executor does
+    not validate: recovery must never re-run a plan with ordering or
+    memory violations.  A non-transient error (preemption, schedule
+    violations, device OOM) ends the loop and is recorded, not raised;
+    the sample it interrupted stays in the log with no result.
+    ``on_sample(record, start, end)`` is called with the host
+    ``perf_counter`` bounds of every sample that ran to its end.
+    """
+    from ..check import ScheduleValidationError
+    from ..faults.events import FaultError
+
+    outcome = CandidateOutcome()
+    try:
+        for _ in range(policy.samples):
+            record = SampleRecord()
+            outcome.samples.append(record)
+            start = time.perf_counter()
+            while True:
+                validate = True if record.aborts and not executor.validate else None
+                try:
+                    record.result = executor.run(plan, validate=validate)
+                    break
+                except FaultError as exc:
+                    if not exc.transient:
+                        raise
+                    record.aborts.append((exc.kind, str(exc)))
+                    if len(record.aborts) >= policy.max_attempts:
+                        break  # sample lost
+            if on_sample is not None:
+                on_sample(record, start, time.perf_counter())
+    except ScheduleValidationError as exc:
+        outcome.error = exc
+        outcome.violations = [
+            (plan.label, violation.kind, str(violation))
+            for violation in exc.report.violations
+        ]
+    except FaultError as exc:
+        outcome.error = exc
+    return outcome

@@ -27,14 +27,10 @@ of re-exploring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..faults.checkpoint import ExplorationCheckpoint
-from ..faults.events import (
-    DeviceOOMError,
-    FaultError,
-    PreemptionError,
-)
+from ..faults.events import DeviceOOMError, PreemptionError
 from ..gpu.device import GPUSpec
 from ..ir.graph import Graph
 from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
@@ -50,7 +46,14 @@ from .adaptive import AdaptiveVariable, UpdateNode
 from .allocation import AllocationStrategy
 from .enumerator import AstraFeatures, BuiltPlan, Enumerator
 from .epochs import EpochPartition
-from .measurement import QUARANTINED_US, TRUSTING, MeasurementPolicy, robust_min
+from .measurement import (
+    QUARANTINED_US,
+    TRUSTING,
+    CandidateOutcome,
+    MeasurementPolicy,
+    robust_min,
+    sample_plan,
+)
 from .profile_index import ProfileIndex, mangle
 
 #: sentinel distinguishing "variable never assigned" from any real choice
@@ -324,8 +327,9 @@ class CustomWirer:
                 {"learned": self.learned.model.fingerprint}
                 if self.learned is not None else {}
             ),
-            # with a fault injector, parallel runs draw per-candidate RNG
-            # substreams instead of the serial run-level stream, so a
+            # with a fault injector or autoboost jitter, parallel runs
+            # draw per-candidate RNG substreams instead of the serial
+            # run-level stream, so a
             # checkpoint must not cross the serial/parallel boundary.
             # Worker *count* is deliberately absent: results are
             # worker-count independent by construction, so any parallel
@@ -440,94 +444,110 @@ class CustomWirer:
         self.reporter.fault(phase, kind, message, context=context)
         self.tracer.instant(f"fault/{kind}", detail=message)
 
-    def _execute(
-        self, plan: ExecutionPlan, context: tuple, validate: bool | None = None
-    ) -> MiniBatchResult:
-        """Run one configuration, surfacing validation failures.
-
-        In validated mode a defective schedule is recorded in the run
-        report (one record per violation) before the error propagates --
-        a wirer that silently explored unsound schedules would be
-        exactly the bug this subsystem exists to catch.
-        """
-        from ..check import ScheduleValidationError
-
-        try:
-            return self.executor.run(plan, validate=validate)
-        except ScheduleValidationError as exc:
-            for violation in exc.report.violations:
-                self.reporter.violation(
-                    plan.label, violation.kind, str(violation), context=context
-                )
-            raise
-
     # -- measurement plumbing ---------------------------------------------
 
-    def _measure(
-        self, plan: ExecutionPlan, context: tuple, phase: str
-    ) -> MiniBatchResult | None:
-        """Obtain one measurement sample, retrying transient aborts.
-
-        Returns None when the sample could not be obtained within the
-        policy's attempt budget.  Each retry re-validates the schedule
-        through :mod:`repro.check` before re-execution: recovery must
-        never re-run a plan with ordering or memory violations."""
-        attempts = 0
-        while True:
-            try:
-                # a plan re-executed after a fault is statically
-                # re-validated, even when validated mode is off
-                validate = True if attempts > 0 and not self.validate else None
-                if validate:
-                    self.metrics.counter("recovery.revalidated").inc()
-                result = self._execute(plan, context, validate=validate)
-            except FaultError as exc:
-                if not exc.transient:
-                    raise
-                attempts += 1
-                self._log_fault(exc.kind, str(exc), context, phase)
-                if attempts >= self.policy.max_attempts:
-                    self.metrics.counter("recovery.measurements_failed").inc()
-                    return None
-                backoff = self.policy.backoff_for(attempts)
-                self.metrics.counter("recovery.retries").inc()
-                self.metrics.counter("recovery.backoff_minibatches").inc(backoff)
-                continue
-            if attempts > 0:
-                self.metrics.counter("recovery.retries_succeeded").inc()
-            for fault in result.faults:
-                self._log_fault(fault.kind, fault.detail, context, phase)
-            return result
-
-    def _measure_config(
+    def _apply_outcome(
         self,
-        plan: ExecutionPlan,
+        outcome: CandidateOutcome,
         context: tuple,
         stats: PhaseStats,
-        assignment: dict[str, object] | None,
+        assignment: dict[str, object] | None = None,
         kind: str = KIND_EXPLORE,
+        tree: UpdateNode | None = None,
+        live_vars: list[AdaptiveVariable] | None = None,
     ) -> tuple[list[MiniBatchResult], int]:
-        """Measure one configuration under the policy: up to ``samples``
-        mini-batches (min-of-k), each retried per :meth:`_measure`.
+        """Replay one configuration's measurement log into the run state.
 
-        Returns (successful samples, mini-batches charged).  Failed
-        measurements still charge one mini-batch of budget -- their work
-        was dispatched and lost."""
+        The only bookkeeping path for a :func:`sample_plan` outcome,
+        whether it ran on this wirer's executor or in a parallel worker
+        (:meth:`_merge_wave`).  In order: a worker's counter deltas and
+        injector side effects; per sample, fault records and
+        ``recovery.*`` counters for its aborts, a budget charge (a lost
+        sample's work was dispatched too; a sample cut short by the
+        error never ran to its end and is not charged) and a logged
+        mini-batch; the error, re-raised after its violations are
+        reported; and, for an exploration ``tree``, the index merge and
+        strike reset, or a strike toward quarantine when every sample
+        failed.  Production samples are neither charged nor logged: the
+        caller logs the confirmation once.  Returns (successful results,
+        mini-batches charged).
+        """
+        for name, value in sorted(outcome.counters.items()):
+            self.metrics.counter(name).inc(value)
+        if self.injector is not None and outcome.injector_minibatch is not None:
+            self.injector.absorb(
+                outcome.injector_records,
+                outcome.injector_minibatch,
+                outcome.injector_preempted,
+            )
+        budgeted = kind != KIND_PRODUCTION
         results: list[MiniBatchResult] = []
         charged = 0
-        for _ in range(self.policy.samples):
-            result = self._measure(plan, context, stats.name)
-            charged += 1
-            self._spent_this_run += 1
-            if result is None:
-                continue
-            results.append(result)
-            self._overhead_samples.append(result.profiling_overhead_fraction)
-            self._log_minibatch(
-                stats.name, result.total_time_us, context, assignment, kind=kind
+        for record in outcome.samples:
+            gave_up = (
+                record.result is None
+                and len(record.aborts) >= self.policy.max_attempts
             )
-            stats.minibatches += 1
+            for attempt, (fault_kind, message) in enumerate(record.aborts, 1):
+                self._log_fault(fault_kind, message, context, stats.name)
+                if gave_up and attempt == len(record.aborts):
+                    self.metrics.counter("recovery.measurements_failed").inc()
+                    continue
+                # the retry re-ran the plan, statically re-validated
+                if not self.validate:
+                    self.metrics.counter("recovery.revalidated").inc()
+                self.metrics.counter("recovery.retries").inc()
+                self.metrics.counter("recovery.backoff_minibatches").inc(
+                    self.policy.backoff_for(attempt)
+                )
+            if record.result is None and not gave_up:
+                continue  # cut short by the error raised below
+            if budgeted:
+                charged += 1
+                self._spent_this_run += 1
+            if record.result is None:
+                continue
+            if record.aborts:
+                self.metrics.counter("recovery.retries_succeeded").inc()
+            for fault in record.result.faults:
+                self._log_fault(fault.kind, fault.detail, context, stats.name)
+            results.append(record.result)
+            if budgeted:
+                self._overhead_samples.append(
+                    record.result.profiling_overhead_fraction
+                )
+                self._log_minibatch(
+                    stats.name, record.result.total_time_us, context,
+                    assignment, kind=kind,
+                )
+                stats.minibatches += 1
+        if outcome.error is not None:
+            # a defective schedule is on the run report before the error
+            # propagates: silently exploring unsound schedules is exactly
+            # the bug validated mode exists to catch
+            for label, violation_kind, text in outcome.violations:
+                self.reporter.violation(
+                    label, violation_kind, text, context=context
+                )
+            raise outcome.error
+        if tree is not None:
+            key = self._config_key(live_vars, context)
+            if results:
+                self._record_measurements(
+                    tree, outcome.var_units, results, context
+                )
+                self._fault_strikes.pop(key, None)
+                self.metrics.counter(f"astra.index_misses.{stats.name}").inc()
+            else:
+                strikes = self._fault_strikes.get(key, 0) + 1
+                self._fault_strikes[key] = strikes
+                if strikes >= self.policy.quarantine_after:
+                    self._quarantine(live_vars, context, stats.name)
         return results, charged
+
+    def _index_hit(self, stats: PhaseStats) -> None:
+        stats.index_hits += 1
+        self.metrics.counter(f"astra.index_hits.{stats.name}").inc()
 
     def _record_measurements(
         self,
@@ -641,30 +661,19 @@ class CustomWirer:
                     assignment = tree.assignment()
                     with self.clock.phase("enumerate"):
                         built = build(assignment, {v.name for v in live_vars})
-                    results, charged = self._measure_config(
-                        built.plan, context, stats, assignment
+                    outcome = sample_plan(self.executor, built.plan, self.policy)
+                    outcome.var_units = built.var_units
+                    results, charged = self._apply_outcome(
+                        outcome, context, stats, assignment,
+                        tree=tree, live_vars=live_vars,
                     )
                     spent += charged
-                    if results:
-                        self._record_measurements(
-                            tree, built.var_units, results, context
-                        )
-                        self._fault_strikes.pop(self._config_key(live_vars, context), None)
-                        self.metrics.counter(f"astra.index_misses.{stats.name}").inc()
-                    else:
-                        # every sample of this configuration failed: strike
-                        # it; quarantine once the policy's patience is out,
-                        # otherwise retry the same configuration
-                        key = self._config_key(live_vars, context)
-                        strikes = self._fault_strikes.get(key, 0) + 1
-                        self._fault_strikes[key] = strikes
-                        if strikes >= self.policy.quarantine_after:
-                            self._quarantine(live_vars, context, stats.name)
-                        if spent < budget:
-                            continue
+                    if not results and spent < budget:
+                        # every sample failed: measure the configuration
+                        # again, or step past it once it is quarantined
+                        continue
                 else:
-                    stats.index_hits += 1
-                    self.metrics.counter(f"astra.index_hits.{stats.name}").inc()
+                    self._index_hit(stats)
                 if spent >= budget:
                     tree.finalize(self.index, context)
                     break
@@ -690,10 +699,9 @@ class CustomWirer:
 
         Plans a wave of candidate configurations (``repro.parallel.engine``
         proves the wave visits the serial loop's exact choice sequence),
-        ships them to the worker pool, and replays each outcome's event
-        log at its canonical position via :meth:`_merge_wave` -- so the
-        index, the counters, the timeline, the strikes and the budget all
-        evolve exactly as a serial run's would.
+        ships them to the worker pool, and replays each outcome at its
+        canonical position via :meth:`_merge_wave`, through the same
+        :meth:`_apply_outcome` a serial measurement goes through.
         """
         from ..parallel.engine import (
             MAX_WAVE,
@@ -701,7 +709,7 @@ class CustomWirer:
             STATUS_EXHAUSTED,
             plan_wave,
         )
-        from ..parallel.wire import CandidateTask
+        from ..parallel.wire import CandidateTask, decode_error
 
         spent = 0
         advance_first = False
@@ -738,6 +746,8 @@ class CustomWirer:
                     ))
                 with self.clock.phase("dispatch"):
                     outcomes = self.engine.measure_wave(tasks)
+                for outcome in outcomes:
+                    decode_error(outcome)
                 merge_status, spent = self._merge_wave(
                     tree, context, stats, entries, outcomes, spent, budget
                 )
@@ -772,112 +782,32 @@ class CustomWirer:
         """Replay worker outcomes in canonical order.
 
         Each measurement entry restores its tree snapshot (profile keys
-        and quarantine keys read variables' *current* values), replays
-        the worker's event log through the same bookkeeping the serial
-        loop runs inline, and merges profiles into the index.  Returns
-        ``("ok" | "retry" | "budget", spent)``; on ``retry``/``budget``
-        the tree is left at the failed entry's configuration and the
-        wave's unmerged tail is discarded -- its speculative keys were
-        never written anywhere.
+        and quarantine keys read variables' *current* values) and goes
+        through :meth:`_apply_outcome`, exactly as a serial measurement
+        does.  Returns ``("ok" | "retry" | "budget", spent)``; on
+        ``retry``/``budget`` the tree is left at the failed entry's
+        configuration and the wave's unmerged tail is discarded -- its
+        speculative keys were never written anywhere.
         """
         import time as _time
 
         merge_start = _time.perf_counter()
         outcome_iter = iter(outcomes)
-        verdict = "ok"
         try:
             for position, entry in enumerate(entries):
                 if entry.kind == "hit":
-                    stats.index_hits += 1
-                    self.metrics.counter(
-                        f"astra.index_hits.{stats.name}").inc()
+                    self._index_hit(stats)
                     continue
-                outcome = next(outcome_iter)
                 tree.restore_state(entry.snapshot)
                 live_vars = [
                     v for v in tree.variables() if v.name in entry.live_names
                 ]
-                # worker-side executor counters (fault.*, check.*) land on
-                # the parent registry at the canonical position
-                for name, value in sorted(outcome.counters.items()):
-                    self.metrics.counter(name).inc(value)
-                if self.injector is not None and (
-                    outcome.injector_minibatch is not None
-                ):
-                    self.injector.absorb(
-                        outcome.injector_records,
-                        outcome.injector_minibatch,
-                        outcome.injector_preempted,
-                    )
-                results = []
-                for record in outcome.samples:
-                    gave_up = (
-                        record.result is None
-                        and len(record.aborts) >= self.policy.max_attempts
-                    )
-                    interrupted = record.result is None and not gave_up
-                    for attempt, (kind, message) in enumerate(
-                        record.aborts, 1
-                    ):
-                        self._log_fault(kind, message, context, stats.name)
-                        if gave_up and attempt == len(record.aborts):
-                            self.metrics.counter(
-                                "recovery.measurements_failed").inc()
-                        else:
-                            if not self.validate:
-                                self.metrics.counter(
-                                    "recovery.revalidated").inc()
-                            self.metrics.counter("recovery.retries").inc()
-                            self.metrics.counter(
-                                "recovery.backoff_minibatches"
-                            ).inc(self.policy.backoff_for(attempt))
-                    if interrupted:
-                        # sample cut short by the fatal event surfaced
-                        # below; the serial loop never charged it either
-                        continue
-                    spent += 1
-                    self._spent_this_run += 1
-                    if record.result is None:
-                        continue  # charged, lost (attempt budget out)
-                    if record.aborts:
-                        self.metrics.counter(
-                            "recovery.retries_succeeded").inc()
-                    for fault in record.result.faults:
-                        self._log_fault(
-                            fault.kind, fault.detail, context, stats.name
-                        )
-                    results.append(record.result)
-                    self._overhead_samples.append(
-                        record.result.profiling_overhead_fraction
-                    )
-                    self._log_minibatch(
-                        stats.name, record.result.total_time_us, context,
-                        entry.assignment,
-                    )
-                    stats.minibatches += 1
-                if outcome.preempted_at is not None:
-                    raise PreemptionError(outcome.preempted_at)
-                if outcome.error is not None or outcome.error_repr:
-                    for label, kind, text in outcome.violations:
-                        self.reporter.violation(
-                            label, kind, text, context=context
-                        )
-                    raise self._decode_worker_error(outcome)
-                if results:
-                    self._record_measurements(
-                        tree, outcome.var_units, results, context
-                    )
-                    self._fault_strikes.pop(
-                        self._config_key(live_vars, context), None
-                    )
-                    self.metrics.counter(
-                        f"astra.index_misses.{stats.name}").inc()
-                else:
-                    key = self._config_key(live_vars, context)
-                    strikes = self._fault_strikes.get(key, 0) + 1
-                    self._fault_strikes[key] = strikes
-                    if strikes >= self.policy.quarantine_after:
-                        self._quarantine(live_vars, context, stats.name)
+                results, charged = self._apply_outcome(
+                    next(outcome_iter), context, stats, entry.assignment,
+                    tree=tree, live_vars=live_vars,
+                )
+                spent += charged
+                if not results:
                     discarded = sum(
                         1 for later in entries[position + 1:]
                         if later.kind == "measure"
@@ -886,25 +816,12 @@ class CustomWirer:
                         self.engine.stats.discarded += discarded
                         self.metrics.counter(
                             "parallel.candidates_discarded").inc(discarded)
-                    verdict = "retry" if spent < budget else "budget"
-                    return verdict, spent
+                    return ("retry" if spent < budget else "budget"), spent
         finally:
             self.metrics.histogram("parallel.merge_us").observe(
                 (_time.perf_counter() - merge_start) * 1e6
             )
-        return verdict, spent
-
-    def _decode_worker_error(self, outcome) -> BaseException:
-        import pickle as _pickle
-
-        if outcome.error is not None:
-            try:
-                return _pickle.loads(outcome.error)
-            except Exception:
-                pass
-        return RuntimeError(
-            f"worker-side error: {outcome.error_repr or 'unknown'}"
-        )
+        return "ok", spent
 
     def close(self) -> None:
         """Release the parallel engine's worker pool, if any."""
@@ -975,15 +892,14 @@ class CustomWirer:
             label=best_plan.label + "/production",
         )
         production_context = self.base_context + best_strategy.context_key()
-        production_result = self._measure(
-            production, production_context, "production"
+        confirmed, _charged = self._apply_outcome(
+            sample_plan(self.executor, production, replace(self.policy, samples=1)),
+            production_context, PhaseStats(name="production"),
+            kind=KIND_PRODUCTION,
         )
-        if production_result is not None:
-            production_time = production_result.total_time_us
-        else:
-            # the confirmation run itself kept faulting; the compare-phase
-            # measurement stands in for it
-            production_time = best_time
+        # when the confirmation run itself kept faulting, the
+        # compare-phase measurement stands in for it
+        production_time = confirmed[0].total_time_us if confirmed else best_time
         self._log_minibatch(
             "production", production_time, production_context,
             best_assignment, kind=KIND_PRODUCTION,
@@ -1152,15 +1068,13 @@ class CustomWirer:
             compare_key = mangle(context, ("compare", candidate_label))
             cached = self.index.get(compare_key)
             if cached is not None:
-                compare_stats.index_hits += 1
-                self.metrics.counter(
-                    f"astra.index_hits.{compare_stats.name}").inc()
+                self._index_hit(compare_stats)
                 self.provenance.compared(context, candidate_label, cached, cached=True)
                 measured.append((cached, built.plan, assignment))
                 continue
-            results, _charged = self._measure_config(
-                built.plan, context, compare_stats, assignment,
-                kind=KIND_COMPARE,
+            results, _charged = self._apply_outcome(
+                sample_plan(self.executor, built.plan, self.policy),
+                context, compare_stats, assignment, kind=KIND_COMPARE,
             )
             if not results:
                 continue

@@ -9,10 +9,15 @@ their cost-model estimates, quarantine events, and the compare-phase
 numbers.  ``repro explain`` renders it as "winner vs runner-up, per
 variable, with the measurements that decided it".
 
-Determinism: events are recorded at the same call sites the serial loop
-and the parallel merge (`_merge_wave`) share, in canonical order, with no
-wall-clock timestamps -- so a serial run and a ``--workers N`` run of the
-same exploration produce bit-identical logs.  This is asserted in tests.
+Determinism: events are recorded by the one replay every measurement
+goes through (``CustomWirer._apply_outcome``, which the serial loop and
+the parallel merge both call), in canonical order, with no wall-clock
+timestamps.  Engine runs at any worker count produce bit-identical logs,
+and each log reproduces its run's profile index bit for bit.  A serial
+run and a ``--workers N`` run make the same decisions, but their values
+agree only to within an ulp (the engine contract, see
+``docs/performance.md``); ``tests/obs/test_provenance.py`` compares them
+structurally at rel 1e-9.
 
 Everything is zero-cost when disabled: :data:`NULL_PROVENANCE` is the
 null-object default wherever the hooks live.

@@ -19,13 +19,17 @@ real index and the pending key set.  A variable that would need a pending
 *value* (its exhaustion ``finalize`` scans measured values) is deferred:
 it rides along at its stale position, other variables keep stepping, and
 the wave seals when nothing can step.  Each planned candidate carries a
-tree snapshot so the wirer's merge can replay the serial bookkeeping
-exactly -- and rewind cleanly when a candidate's samples all failed.
+tree snapshot, so the wirer can restore the candidate's configuration and
+replay its outcome through the one bookkeeping path a serial measurement
+takes (``CustomWirer._apply_outcome``) -- and rewind cleanly when a
+candidate's samples all failed.
 
 The result: every variable visits the same choice sequence as the serial
-loop, the index receives identical keys and values, and winner selection
-(``finalize`` over those entries) is identical -- while a whole phase
-typically dispatches as one or two waves.  Trees of any other shape
+loop and the index receives the same keys -- while a whole phase
+typically dispatches as one or two waves.  Values agree with a serial
+run's to within an ulp at base clock without faults; jitter and fault
+draws come from per-candidate substreams, so they differ from a serial
+run's rolling stream (see docs/performance.md).  Trees of any other shape
 (prefix stream phases, exhaustive subtrees, hierarchical forks) take the
 serial path unchanged.
 """

@@ -7,15 +7,25 @@ built plan or a lowered schedule -- workers rebuild both deterministically
 from the same enumerator inputs, which PR 4's signature machinery
 guarantees are bit-identical (two plans with equal
 :func:`~repro.perf.signature.plan_key` lower to bit-identical schedules).
-Results travel back as slim :class:`~repro.runtime.executor.MiniBatchResult`
-objects with the raw simulator output stripped, plus the event log the
-wirer needs to replay its serial bookkeeping exactly (retry counters,
-fault records, injector ledger entries) in canonical candidate order.
+Results travel back as the sampler's
+:class:`~repro.core.measurement.CandidateOutcome` event log -- the same
+log a serial measurement produces -- with the raw simulator output
+stripped from each :class:`~repro.runtime.executor.MiniBatchResult`, the
+worker's counter deltas and injector side effects attached, and the
+error pickled.  The wirer replays it in canonical candidate order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import pickle
+from dataclasses import dataclass, replace
+
+from ..core.measurement import CandidateOutcome, SampleRecord
+
+__all__ = [
+    "CandidateOutcome", "CandidateTask", "SampleRecord", "WorkerSpec",
+    "decode_error", "encode_error", "slim_result",
+]
 
 
 @dataclass(frozen=True)
@@ -72,54 +82,6 @@ class CandidateTask:
         return dict(self.assignment)
 
 
-@dataclass
-class SampleRecord:
-    """Event log of one measurement sample (one budget charge).
-
-    ``aborts`` lists the transient faults the worker's retry loop caught,
-    in order; ``result`` is the slim measurement, or None when the sample
-    was lost (attempt budget exhausted) or cut short by a non-transient
-    error recorded on the outcome.
-    """
-
-    aborts: list = field(default_factory=list)  # [(kind, message), ...]
-    result: object = None  # slim MiniBatchResult | None
-
-
-@dataclass
-class CandidateOutcome:
-    """Everything a worker observed measuring one candidate."""
-
-    ordinal: int
-    samples: list = field(default_factory=list)  # [SampleRecord, ...]
-    #: var name -> unit ids, from the worker-built plan (feeds the
-    #: parent's metric extraction without shipping the plan itself)
-    var_units: dict = field(default_factory=dict)
-    #: executor-internal counter deltas (fault.*, check.*), merged into
-    #: the parent registry at the candidate's canonical merge position
-    counters: dict = field(default_factory=dict)
-    #: injector sub-state side effects (None when no injector armed)
-    injector_records: list = field(default_factory=list)
-    injector_minibatch: int | None = None
-    injector_preempted: bool = False
-    #: a non-transient error that aborted the candidate, pickled; the
-    #: parent re-raises it at the canonical merge position
-    error: bytes | None = None
-    error_repr: str | None = None
-    #: schedule-validation violations to replay into the run report
-    violations: list = field(default_factory=list)  # [(label, kind, text)]
-    #: set when the candidate's injector fired a scheduled preemption
-    preempted_at: int | None = None
-    #: worker wall seconds spent on this candidate (utilization metric)
-    busy_s: float = 0.0
-    #: host-side trace spans recorded while measuring this candidate
-    #: (Chrome-event dicts; ts relative to the candidate's own start;
-    #: empty unless the spec requested tracing)
-    spans: list = field(default_factory=list)
-    #: os pid of the worker that measured this candidate (trace track key)
-    worker_pid: int = 0
-
-
 def slim_result(result, keep_units=None):
     """Strip the raw simulator output before shipping a result.
 
@@ -137,3 +99,29 @@ def slim_result(result, keep_units=None):
             uid: t for uid, t in unit_times.items() if uid in keep_units
         }
     return replace(result, raw=None, unit_times=unit_times)
+
+
+def encode_error(outcome: CandidateOutcome) -> None:
+    """Pickle ``outcome.error`` for the trip from a worker to the parent.
+
+    An exception that cannot be pickled travels as its ``repr`` alone and
+    comes back as a ``RuntimeError`` (see :func:`decode_error`)."""
+    if outcome.error is None:
+        return
+    outcome.error_repr = repr(outcome.error)
+    try:
+        outcome.error = pickle.dumps(outcome.error)
+    except Exception:
+        outcome.error = None
+
+
+def decode_error(outcome: CandidateOutcome) -> None:
+    """Rebuild in the parent the exception :func:`encode_error` shipped."""
+    if outcome.error is not None:
+        try:
+            outcome.error = pickle.loads(outcome.error)
+            return
+        except Exception:
+            pass
+    if outcome.error_repr:
+        outcome.error = RuntimeError(f"worker-side error: {outcome.error_repr}")

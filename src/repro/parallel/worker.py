@@ -2,14 +2,13 @@
 
 A worker owns a full measurement pipeline -- enumerator, lowering cache,
 executor, simulator -- rebuilt from the :class:`~repro.parallel.wire.WorkerSpec`.
-Per candidate it: resolves the allocation strategy, builds the plan from
-the shipped assignment, lowers (through its own cache), optionally
-validates, and runs the policy's sample/retry loop against a per-candidate
-injector sub-state and jitter sub-stream.  Every observation the wirer's
-serial bookkeeping would have made is captured in the
-:class:`~repro.parallel.wire.CandidateOutcome` event log, so the parent
-can replay it in canonical order and end up in the same state a serial
-run reaches.
+Per candidate it points the executor at a per-candidate injector
+sub-state and jitter sub-stream, builds the plan from the shipped
+assignment, and runs the same sampler the serial wirer runs
+(:func:`~repro.core.measurement.sample_plan`).  The sampler's
+:class:`~repro.core.measurement.CandidateOutcome` goes back to the parent,
+which replays it at the candidate's canonical merge position through the
+same bookkeeping a serial measurement goes through.
 
 The pools in :mod:`repro.parallel.pool` build this state from the spec
 (``WorkerSpec.worker()``) in each worker process or, inline, in the
@@ -19,10 +18,9 @@ caller, so ``--workers 1`` and ``--workers N`` execute one implementation.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 
-from .wire import CandidateOutcome, CandidateTask, SampleRecord, WorkerSpec, slim_result
+from .wire import CandidateOutcome, CandidateTask, WorkerSpec, encode_error, slim_result
 
 #: domain-separation tag for per-candidate simulator jitter substreams
 SIM_STREAM_TAG = 0x51B0
@@ -89,20 +87,18 @@ class WorkerState:
 
 
 def measure_candidate(state: WorkerState, task: CandidateTask) -> CandidateOutcome:
-    """The worker-side mirror of the wirer's per-configuration loop.
+    """Measure one candidate with the sampler, seeded by the candidate.
 
-    Mirrors ``CustomWirer._measure_config`` / ``_measure``: up to
-    ``policy.samples`` mini-batches, each retried on transient faults up
-    to ``policy.max_attempts`` with re-validation on retry.  Instead of
-    *acting* on the observations (counters, fault logs, quarantine), it
-    records them for the parent to replay at the merge position.
+    The injector sub-state and the jitter sub-stream are keyed by
+    ``task.base_minibatch``, so the outcome depends only on which
+    candidate this is.  Nothing is acted on here: results are slimmed,
+    and executor counters, injector side effects and the pickled error
+    ride along for the parent's replay.
     """
-    from ..check import ScheduleValidationError
-    from ..faults.events import FaultError, PreemptionError
+    from ..core.measurement import sample_plan
     from ..faults.injector import FaultInjector
     from ..obs.metrics import Counter, MetricsRegistry
 
-    out = CandidateOutcome(ordinal=task.ordinal, worker_pid=os.getpid())
     start = time.perf_counter()
     spec = state.spec
     registry = MetricsRegistry()
@@ -116,72 +112,47 @@ def measure_candidate(state: WorkerState, task: CandidateTask) -> CandidateOutco
     executor.injector = injector
     executor._simulator.injector = injector
     executor._simulator.reseed((spec.seed, SIM_STREAM_TAG, task.base_minibatch))
-    plan_label = None
+    spans: list = []
     try:
-        strategy = state.strategies[task.strategy_id]
         built = state.enumerator.build_plan(
-            strategy, task.assignment_dict(),
+            state.strategies[task.strategy_id], task.assignment_dict(),
             profile_vars=set(task.live_names),
         )
-        plan_label = built.plan.label
-        out.var_units = {
-            name: list(ids) for name, ids in built.var_units.items()
-        }
-        keep_units = set()
-        for ids in built.var_units.values():
-            keep_units.update(ids)
-        for sample_no in range(spec.policy.samples):
-            record = SampleRecord()
-            out.samples.append(record)
-            attempts = 0
-            sample_start = time.perf_counter()
-            while True:
-                try:
-                    # mirror of CustomWirer._measure: a retried plan is
-                    # statically re-validated even in unvalidated mode
-                    validate = True if attempts > 0 and not spec.validate else None
-                    result = executor.run(built.plan, validate=validate)
-                except FaultError as exc:
-                    if not exc.transient:
-                        raise
-                    attempts += 1
-                    record.aborts.append((exc.kind, str(exc)))
-                    if attempts >= spec.policy.max_attempts:
-                        break  # sample lost; result stays None
-                    continue
-                record.result = slim_result(result, keep_units)
-                break
-            if spec.trace:
-                now = time.perf_counter()
-                out.spans.append({
-                    "ph": "X",
-                    "name": f"sample {plan_label}",
-                    "cat": "worker",
-                    "ts": (sample_start - start) * 1e6,
-                    "dur": (now - sample_start) * 1e6,
-                    "args": {
-                        "ordinal": task.ordinal,
-                        "sample": sample_no,
-                        "retries": attempts,
-                        "sim_us": (
-                            record.result.total_time_us
-                            if record.result is not None else None
-                        ),
-                    },
-                })
-    except PreemptionError as exc:
-        out.preempted_at = exc.minibatch
-    except ScheduleValidationError as exc:
-        out.violations = [
-            (plan_label or "astra", violation.kind, str(violation))
-            for violation in exc.report.violations
-        ]
-        out.error, out.error_repr = _encode_error(exc)
-    except FaultError as exc:  # non-transient: OOM window, etc.
-        out.error, out.error_repr = _encode_error(exc)
+
+        def span(record, sample_start, sample_end):
+            spans.append({
+                "ph": "X",
+                "name": f"sample {built.plan.label}",
+                "cat": "worker",
+                "ts": (sample_start - start) * 1e6,
+                "dur": (sample_end - sample_start) * 1e6,
+                "args": {
+                    "ordinal": task.ordinal,
+                    "sample": len(spans),
+                    "retries": len(record.aborts),
+                    "sim_us": (
+                        record.result.total_time_us
+                        if record.result is not None else None
+                    ),
+                },
+            })
+
+        out = sample_plan(
+            executor, built.plan, spec.policy,
+            on_sample=span if spec.trace else None,
+        )
     finally:
         executor.injector = None
         executor._simulator.injector = None
+    out.ordinal = task.ordinal
+    out.worker_pid = os.getpid()
+    out.var_units = {name: list(ids) for name, ids in built.var_units.items()}
+    keep_units = {uid for ids in built.var_units.values() for uid in ids}
+    for record in out.samples:
+        if record.result is not None:
+            record.result = slim_result(record.result, keep_units)
+    out.spans = spans
+    encode_error(out)
     if injector is not None:
         out.injector_records = list(injector.ledger)
         out.injector_minibatch = injector.minibatch
@@ -194,9 +165,3 @@ def measure_candidate(state: WorkerState, task: CandidateTask) -> CandidateOutco
     out.busy_s = time.perf_counter() - start
     return out
 
-
-def _encode_error(exc) -> tuple:
-    try:
-        return pickle.dumps(exc), repr(exc)
-    except Exception:
-        return None, repr(exc)

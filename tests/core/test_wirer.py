@@ -204,3 +204,40 @@ class TestObservability:
         warm = [p.index_hit_rate for p in second.astra.phases]
         assert all(w >= c for w, c in zip(warm, cold))
         assert any(w > 0 for w in warm)
+
+
+class TestMeasurementErrors:
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_validation_error_reaches_the_caller(self, tiny_scrnn, monkeypatch, workers):
+        """The error that cuts a configuration short propagates with its
+        type and report, after its violations are on the run report.  A
+        serial run measures in-process and re-raises the very object the
+        executor raised; only an engine run ships it through pickle."""
+        from repro.check import ScheduleValidationError
+        from repro.check.violations import RAW_RACE, ValidationReport, Violation
+        from repro.obs.report import RunReporter
+        from repro.runtime.executor import Executor
+
+        report = ValidationReport(
+            violations=[Violation(RAW_RACE, (1, 2), "u1 before u2")],
+            launches=3, dependencies=4, events=1, tensors=2, label="plan-x",
+        )
+        raised = ScheduleValidationError(report)
+
+        def run(self, plan, validate=None):
+            raise raised
+
+        monkeypatch.setattr(Executor, "run", run)
+        reporter = RunReporter()
+        session = AstraSession(
+            tiny_scrnn, features="FK", seed=1, reporter=reporter, workers=workers
+        )
+        try:
+            with pytest.raises(ScheduleValidationError) as info:
+                session.optimize(measure_native=False)
+        finally:
+            session.close()
+        assert type(info.value) is ScheduleValidationError
+        assert info.value.report.kinds() == {RAW_RACE}
+        assert (info.value is raised) == (workers is None)
+        assert [r.assignment_delta["violation"] for r in reporter.violations()] == [RAW_RACE]

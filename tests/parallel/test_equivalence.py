@@ -11,7 +11,8 @@ Three tiers of equivalence, each pinned:
   ``docs/performance.md``).
 * **engine@1 vs engine@N**: bit-identical everything -- same waves, same
   candidate ordinals, same merge order, regardless of how the waves were
-  sharded across processes.
+  sharded across processes.  This holds under autoboost too, where every
+  candidate draws clock jitter from its own substream.
 * the report carries the engine summary so runs are auditable.
 """
 
@@ -20,17 +21,24 @@ import pickle
 import pytest
 
 from repro.core.session import AstraSession
-from repro.gpu import DEVICES
+from repro.gpu import CLOCK_AUTOBOOST, DEVICES
 from repro.perf.bench import _clear_process_memos
 from repro.perf.ranker import FastPath
 
 FAST = FastPath(cache=True, prune=True)
+AUTOBOOST = "V100-autoboost"
+
+
+def device_for(name):
+    if name == AUTOBOOST:
+        return DEVICES["V100"].with_clock(CLOCK_AUTOBOOST)
+    return DEVICES[name]
 
 
 def run_once(model, device_name="P100", workers=None, budget=400):
     _clear_process_memos()
     session = AstraSession(
-        model, device=DEVICES[device_name], features="FK", seed=1,
+        model, device=device_for(device_name), features="FK", seed=1,
         fast=FAST, workers=workers,
     )
     try:
@@ -89,9 +97,15 @@ class TestSerialVsEngine:
 
 
 class TestEngineWorkerCountInvariance:
-    def test_one_vs_two_workers_bit_identical(self, scrnn_runs):
-        assert (fingerprint(*scrnn_runs["w1"])
-                == fingerprint(*scrnn_runs["w2"]))
+    @pytest.mark.parametrize("device_name", ["P100", AUTOBOOST])
+    def test_one_vs_two_workers_bit_identical(self, scrnn_runs, tiny_scrnn, device_name):
+        if device_name == "P100":
+            one, two = scrnn_runs["w1"], scrnn_runs["w2"]
+        else:
+            one = run_once(tiny_scrnn, device_name, workers=1)
+            two = run_once(tiny_scrnn, device_name, workers=2)
+        assert one[0].configs_explored > 0 and one[1]
+        assert fingerprint(*one) == fingerprint(*two)
 
     def test_report_carries_engine_summary(self, scrnn_runs):
         report, _ = scrnn_runs["w2"]
