@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 
-from repro import AstraSession
 from repro.baselines import run_cudnn, run_native, run_xla
 from repro.gpu import P100
-from repro.models import MODEL_BUILDERS
-from repro.perf import PhaseClock
+from repro.models import build_model as _build_model
+from repro.perf.bench import timed_session_run
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -40,16 +38,6 @@ BENCH_SEQ_LEN = 5
 #: Astra variants in table-column order
 VARIANTS = ("F", "FK", "FKS", "all")
 
-DEFAULT_CONFIGS = {
-    "scrnn": __import__("repro.models.scrnn", fromlist=["DEFAULT_CONFIG"]).DEFAULT_CONFIG,
-    "milstm": __import__("repro.models.milstm", fromlist=["DEFAULT_CONFIG"]).DEFAULT_CONFIG,
-    "sublstm": __import__("repro.models.sublstm", fromlist=["DEFAULT_CONFIG"]).DEFAULT_CONFIG,
-    "stacked_lstm": __import__(
-        "repro.models.stacked_lstm", fromlist=["DEFAULT_CONFIG"]
-    ).DEFAULT_CONFIG,
-    "gnmt": __import__("repro.models.gnmt", fromlist=["DEFAULT_CONFIG"]).DEFAULT_CONFIG,
-}
-
 
 def bench_batches() -> tuple[int, ...]:
     override = os.environ.get("REPRO_BENCH_BATCHES")
@@ -59,16 +47,14 @@ def bench_batches() -> tuple[int, ...]:
 
 
 def build_model(name: str, batch_size: int, seq_len: int = BENCH_SEQ_LEN, **overrides):
-    config = DEFAULT_CONFIGS[name].scaled(
-        batch_size=batch_size, seq_len=seq_len, **overrides
-    )
-    return MODEL_BUILDERS[name](config)
+    return _build_model(name, batch_size, seq_len, **overrides)
 
 
 def astra_times(model, variants=VARIANTS, seed=1, max_minibatches=3000):
     """Best mini-batch time and exploration size per Astra variant.
 
-    Each variant run gets its *own* :class:`~repro.perf.PhaseClock`, so
+    Each variant run is one :func:`repro.perf.bench.timed_session_run`
+    leg: it starts cold and owns its :class:`~repro.perf.PhaseClock`, so
     one variant's time can never bleed into another's, and within a run
     every phase (enumerate / prerank / lower / validate / simulate /
     explore) is timed by its own exclusive context -- the per-phase
@@ -77,22 +63,17 @@ def astra_times(model, variants=VARIANTS, seed=1, max_minibatches=3000):
     """
     out = {}
     for preset in variants:
-        clock = PhaseClock()
-        start = time.perf_counter()
-        with clock.phase("other"):
-            report = AstraSession(model, features=preset, seed=seed,
-                                  clock=clock).optimize(
-                max_minibatches=max_minibatches
-            )
-        wall_s = time.perf_counter() - start
+        run = timed_session_run(model, features=preset, seed=seed,
+                                budget=max_minibatches)
+        report = run.report
         out[preset] = {
             "best_us": report.best_time_us,
             "native_us": report.native_time_us,
             "speedup": report.speedup_over_native,
             "configs": report.configs_explored,
             "overhead": report.astra.profiling_overhead,
-            "wall_s": wall_s,
-            "phases_s": dict(sorted(clock.seconds.items())),
+            "wall_s": run.wall_s,
+            "phases_s": dict(sorted(run.clock.seconds.items())),
         }
     return out
 

@@ -11,11 +11,11 @@ for the degree curve and the data-vs-pipeline decision, and on the mixed
 fleet for the heterogeneous sweep.
 """
 
-from harness import DEFAULT_CONFIGS, emit
+from harness import emit
 from repro.distributed import NVLINK, PCIE
 from repro.fleet import FleetDevice, FleetSpec, get_fleet, run_fleet_search
 from repro.gpu import P100
-from repro.models import build_scrnn, build_stacked_lstm, build_sublstm
+from repro.models import build_scrnn, build_stacked_lstm, build_sublstm, model_config
 
 #: the data-parallel degrees the curve reports.  The fleet measures all
 #: eight; NVLink's best over all of them is x6, so ``nvlink_best`` (x8)
@@ -33,7 +33,7 @@ def p100_fleet(count, fabric):
 
 
 def build_table():
-    config = DEFAULT_CONFIGS["sublstm"].scaled(batch_size=128, seq_len=5)
+    config = model_config("sublstm", 128, 5)
     payload = {}
     for fabric in (PCIE, NVLINK):
         report = run_fleet_search(
@@ -59,9 +59,7 @@ def build_table():
         )
 
     # model partitioning: data vs pipeline at world=2 on a 4-layer stack
-    deep = DEFAULT_CONFIGS["stacked_lstm"].scaled(
-        batch_size=32, seq_len=4, num_layers=4
-    )
+    deep = model_config("stacked_lstm", 32, 4, num_layers=4)
     world2 = run_fleet_search(
         build_stacked_lstm, deep, p100_fleet(2, PCIE),
         model_name="stacked_lstm", exhaustive=True, microbatches=4,
@@ -84,7 +82,7 @@ def build_table():
     # NVLink fleet finds a weighted-split winner that no homogeneous subset
     # matches at full batch
     fleet = get_fleet("hetero")
-    scrnn = DEFAULT_CONFIGS["scrnn"].scaled(batch_size=256, seq_len=5)
+    scrnn = model_config("scrnn", 256, 5)
     report = run_fleet_search(
         build_scrnn, scrnn, fleet, model_name="scrnn", exhaustive=True
     )

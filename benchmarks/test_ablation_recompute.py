@@ -9,15 +9,15 @@ per-sample training time still favors the bigger batch at small batch
 sizes (the GPU is underutilized), and the decision flips as batch grows.
 """
 
-from harness import DEFAULT_CONFIGS, emit
+from harness import emit
 from repro.core.recompute import best_batch_under_budget, estimate_memory
-from repro.models import build_sublstm
+from repro.models import build_sublstm, model_config
 
 
 def build_table():
     payload = {}
     for base_batch in (8, 32, 128):
-        config = DEFAULT_CONFIGS["sublstm"].scaled(batch_size=base_batch, seq_len=5)
+        config = model_config("sublstm", base_batch, 5)
         big = estimate_memory(build_sublstm(config.scaled(batch_size=base_batch * 2)).graph)
         budget = big.total_bytes - big.activation_bytes // 3  # 2x fits only w/ recompute
         decisions = best_batch_under_budget(

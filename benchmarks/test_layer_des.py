@@ -11,23 +11,19 @@ figure is for before/after comparisons on one host
     PYTHONPATH=src python -m pytest benchmarks/test_layer_des.py -s
 """
 
-import importlib
 from dataclasses import replace
 
 import pytest
 
 from repro import AstraSession
 from repro.gpu import P100, StreamSimulator
-from repro.models import MODEL_BUILDERS
+from repro.models import build_model
 from repro.runtime import Dispatcher
 
 
 @pytest.fixture(scope="module")
 def milstm_stream_schedule():
-    config = importlib.import_module("repro.models.milstm").DEFAULT_CONFIG.scaled(
-        batch_size=4, seq_len=2
-    )
-    model = MODEL_BUILDERS["milstm"](config)
+    model = build_model("milstm", 4, 2)
     report = AstraSession(model, features="all").optimize(max_minibatches=3000)
     plan = replace(report.astra.best_plan, profile=True)
     items = Dispatcher(model.graph).lower(plan).items

@@ -6,7 +6,7 @@ despite ~8x more layers (barrier exploration parallelizes super-epochs).
 Also section 6.4: profiling overhead < 0.5%, so it can be always on.
 """
 
-from harness import DEFAULT_CONFIGS, MODEL_BUILDERS, emit
+from harness import build_model, emit
 from repro import AstraSession
 
 MODELS = ("scrnn", "stacked_lstm", "milstm", "sublstm", "gnmt")
@@ -16,8 +16,7 @@ def build_table():
     payload = {}
     for name in MODELS:
         seq = 4 if name == "gnmt" else 5
-        config = DEFAULT_CONFIGS[name].scaled(batch_size=16, seq_len=seq)
-        model = MODEL_BUILDERS[name](config)
+        model = build_model(name, 16, seq)
         entry = {}
         for preset in ("FKS", "all"):
             rep = AstraSession(model, features=preset, seed=1).optimize()

@@ -5,9 +5,9 @@ StackedLSTM-16 2.44, StackedLSTM-32 2.22 -- Astra with 5-bucket profiling
 beats a per-length dynamic execution despite the round-up padding.
 """
 
-from harness import DEFAULT_CONFIGS, MODEL_BUILDERS, emit
+from harness import BENCH_SEQ_LEN, emit
 from repro.core import run_bucketed
-from repro.models import PTB_LENGTHS
+from repro.models import MODEL_BUILDERS, PTB_LENGTHS, model_config
 
 CASES = [("scrnn", 16), ("scrnn", 32), ("sublstm", 16), ("sublstm", 32),
          ("stacked_lstm", 16), ("stacked_lstm", 32)]
@@ -24,7 +24,8 @@ def build_table():
     dist = LengthDistribution("ptb-scaled", mean_log=1.9, sigma_log=0.55,
                               min_len=2, max_len=MAX_LEN)
     for name, batch in CASES:
-        config = DEFAULT_CONFIGS[name].scaled(batch_size=batch)
+        # run_bucketed rescales seq_len to each bucket's bound
+        config = model_config(name, batch, BENCH_SEQ_LEN)
         report = run_bucketed(
             MODEL_BUILDERS[name], config, dist,
             num_buckets=5, num_samples=60, features="FK", seed=2,

@@ -7,7 +7,7 @@ lookups), which is why the variants exist.  The stacked LSTM / GNMT rows
 also report cuDNN for reference.
 """
 
-from harness import DEFAULT_CONFIGS, MODEL_BUILDERS, emit
+from harness import build_model, emit
 from repro import AstraSession
 from repro.baselines import cudnn_applicable, run_cudnn, run_native, run_xla
 from repro.gpu import P100
@@ -21,10 +21,7 @@ def build_table():
     for name in MODELS:
         for batch in BATCHES:
             seq = 4 if name == "gnmt" else 5
-            config = DEFAULT_CONFIGS[name].scaled(
-                batch_size=batch, seq_len=seq, use_embedding=False
-            )
-            model = MODEL_BUILDERS[name](config)
+            model = build_model(name, batch, seq, use_embedding=False)
             native = run_native(model.graph, P100).total_time_us
             xla = run_xla(model.graph, P100).total_time_us
             # the TF prototype: fusion pays tensor copies, no streams (5.4)
@@ -42,8 +39,7 @@ def build_table():
 
     # the embedding pathology itself (with-embedding variants)
     for name in ("scrnn", "sublstm"):
-        config = DEFAULT_CONFIGS[name].scaled(batch_size=16, seq_len=5)
-        model = MODEL_BUILDERS[name](config)
+        model = build_model(name, 16, 5)
         native = run_native(model.graph, P100).total_time_us
         xla = run_xla(model.graph, P100).total_time_us
         payload[f"{name}+embeddings"] = {"xla_speedup": native / xla}

@@ -27,8 +27,9 @@ Commands:
   exits non-zero if the fast path's winner diverges from the exhaustive
   winner or the cache never hits (see ``docs/performance.md``);
   ``--compare`` diffs the fresh document against a committed baseline
-  and exits non-zero on a winner change or a relative-throughput
-  regression; ``--learned`` adds the learned-top-k leg
+  and exits non-zero if the baseline describes another job, on a winner
+  change or on a relative-throughput regression; ``--learned`` adds the
+  learned-top-k leg
   (see ``docs/learning.md``)
 * ``train``     — harvest exhaustive-exploration corpora and fit the
   learned cost model, writing a versioned artifact that ``optimize
@@ -45,7 +46,8 @@ Commands:
   degree, pipeline stage cuts and per-stage device placement explored as
   adaptive variables over a mixed P100/V100 fleet, with admissible-bound
   pruning verified against the exhaustive sweep; ``--bench`` writes
-  ``BENCH_fleet_<model>.json`` (see ``docs/distributed.md``)
+  ``BENCH_fleet_<model>.json`` and ``--compare`` diffs it like ``bench``
+  does (see ``docs/distributed.md``)
 """
 
 from __future__ import annotations
@@ -59,27 +61,15 @@ from .baselines import cudnn_applicable, run_cudnn, run_native, run_xla
 from .baselines.native import native_plan
 from .core import AstraFeatures, Enumerator, count_configurations
 from .gpu import DEVICES, P100
-from .models import MODEL_BUILDERS
+from .models import MODEL_BUILDERS, build_model, model_config
 from .obs import MetricsRegistry, RunReporter
 from .obs.trace import PID_GPU, validate_chrome_trace, write_chrome_trace
 from .runtime.executor import Executor
 
-_CONFIG_MODULES = {
-    "scrnn": "repro.models.scrnn",
-    "milstm": "repro.models.milstm",
-    "sublstm": "repro.models.sublstm",
-    "stacked_lstm": "repro.models.stacked_lstm",
-    "gnmt": "repro.models.gnmt",
-}
-
 
 def _build(args):
-    module = __import__(_CONFIG_MODULES[args.model], fromlist=["DEFAULT_CONFIG"])
-    config = module.DEFAULT_CONFIG.scaled(
-        batch_size=args.batch, seq_len=args.seq_len,
-        use_embedding=not args.no_embedding,
-    )
-    return MODEL_BUILDERS[args.model](config)
+    return build_model(args.model, args.batch, args.seq_len,
+                       use_embedding=not args.no_embedding)
 
 
 def _obs_hooks(args) -> tuple[MetricsRegistry | None, RunReporter | None]:
@@ -513,6 +503,28 @@ def cmd_chaos(args) -> int:
     return 0 if report.ok else 1
 
 
+def _finish_bench(args, doc: dict, render, default_out: str) -> int:
+    """Write, print and (with ``--compare``) diff a bench document of
+    either kind; non-zero when the document or the diff failed."""
+    from .perf.bench import compare_bench, render_compare
+
+    out = args.output or default_out
+    with open(out, "w") as fh:
+        json.dump(doc, fh, indent=2)
+    if args.json:
+        print(json.dumps(doc, indent=2))
+    else:
+        print(render(doc))
+        print(f"wrote {out}")
+    ok = doc["ok"]
+    if args.compare:
+        with open(args.compare) as fh:
+            diff = compare_bench(doc, json.load(fh))
+        print(render_compare(diff))
+        ok = ok and diff["ok"]
+    return 0 if ok else 1
+
+
 def cmd_bench(args) -> int:
     from .perf.bench import DEFAULT_VARIANTS, bench_model, render_bench
 
@@ -532,24 +544,7 @@ def cmd_bench(args) -> int:
         workers=args.workers,
         learned=args.learned,
     )
-    out = args.output or f"BENCH_{args.model}.json"
-    with open(out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(render_bench(doc))
-        print(f"wrote {out}")
-    compare_ok = True
-    if args.compare:
-        from .perf.bench import compare_bench, render_compare
-
-        with open(args.compare) as fh:
-            baseline = json.load(fh)
-        diff = compare_bench(doc, baseline)
-        print(render_compare(diff))
-        compare_ok = diff["ok"]
-    return 0 if doc["ok"] and compare_ok else 1
+    return _finish_bench(args, doc, render_bench, f"BENCH_{args.model}.json")
 
 
 def cmd_train(args) -> int:
@@ -568,14 +563,10 @@ def cmd_train(args) -> int:
     records = []
     jobs = []
     for name in model_names:
-        module = __import__(_CONFIG_MODULES[name],
-                            fromlist=["DEFAULT_CONFIG"])
-        config = module.DEFAULT_CONFIG.scaled(
-            batch_size=args.batch, seq_len=args.seq_len,
-        )
         for device_name in device_names:
             job_records = harvest_run(
-                MODEL_BUILDERS[name](config), DEVICES[device_name],
+                build_model(name, args.batch, args.seq_len),
+                DEVICES[device_name],
                 args.features, seed=args.seed, budget=args.budget,
             )
             jobs.append({"model": name, "device": device_name,
@@ -685,7 +676,7 @@ def _render_fleet_report(report, fleet, verify: dict | None) -> str:
 
 def cmd_fleet(args) -> int:
     from .faults import FaultPlan
-    from .fleet import get_fleet, run_fleet_search
+    from .fleet import get_fleet, run_fleet_search, verify_search
     from .obs.trace import fleet_trace
 
     batch = args.batch if args.batch is not None else (64 if args.quick else 256)
@@ -693,36 +684,14 @@ def cmd_fleet(args) -> int:
     if args.bench:
         from .fleet import bench_fleet, render_fleet_bench
 
-        doc = bench_fleet(
+        return _finish_bench(args, bench_fleet(
             args.model, batch=batch, seq_len=args.seq_len,
             fleet_name=args.fleet, seed=args.seed, workers=args.workers,
             microbatches=args.microbatches, quick=args.quick,
-        )
-        out = args.output or f"BENCH_fleet_{args.model}.json"
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-        if args.json:
-            print(json.dumps(doc, indent=2))
-        else:
-            print(render_fleet_bench(doc))
-            print(f"wrote {out}")
-        compare_ok = True
-        if args.compare:
-            from .fleet import compare_fleet_bench, render_fleet_compare
+        ), render_fleet_bench, f"BENCH_fleet_{args.model}.json")
 
-            with open(args.compare) as fh:
-                baseline = json.load(fh)
-            diff = compare_fleet_bench(doc, baseline)
-            print(render_fleet_compare(diff))
-            compare_ok = diff["ok"]
-        return 0 if doc["ok"] and compare_ok else 1
-
-    module = __import__(_CONFIG_MODULES[args.model],
-                        fromlist=["DEFAULT_CONFIG"])
-    config = module.DEFAULT_CONFIG.scaled(
-        batch_size=batch, seq_len=args.seq_len,
-        use_embedding=not args.no_embedding,
-    )
+    config = model_config(args.model, batch, args.seq_len,
+                          use_embedding=not args.no_embedding)
     builder = MODEL_BUILDERS[args.model]
     fleet = get_fleet(args.fleet)
     faults = None
@@ -754,29 +723,12 @@ def cmd_fleet(args) -> int:
     failures: list[str] = []
     verify = None
     if not args.exhaustive and not args.no_verify:
-        exhaustive = run_fleet_search(
+        verify, failures = verify_search(report, run_fleet_search(
             builder, config, fleet, model_name=args.model,
             workers=args.workers, exhaustive=True,
             use_astra=args.astra, faults=faults,
             seed=args.seed, microbatches=args.microbatches,
-        )
-        winner_match = (
-            report.winner.key() == exhaustive.winner.key()
-            and report.winner_per_sample_us == exhaustive.winner_per_sample_us
-        )
-        verify = {
-            "winner_match": winner_match,
-            "exhaustive_winner": exhaustive.winner.label,
-            "exhaustive_per_sample_us": exhaustive.winner_per_sample_us,
-            "exhaustive_measured": exhaustive.strategies_measured,
-        }
-        if not winner_match:
-            failures.append(
-                f"pruned winner {report.winner.label} diverged from "
-                f"exhaustive winner {exhaustive.winner.label}"
-            )
-        if report.standdown is None and report.strategies_pruned <= 0:
-            failures.append("bound pruning retired 0 strategies on a clean run")
+        ))
 
     if args.metrics_out and metrics is not None:
         with open(args.metrics_out, "w") as fh:

@@ -18,9 +18,8 @@ from .search import FleetSearchReport, run_fleet_search
 from .bench import (
     FLEET_BENCH_VERSION,
     bench_fleet,
-    compare_fleet_bench,
     render_fleet_bench,
-    render_fleet_compare,
+    verify_search,
 )
 
 __all__ = [
@@ -29,6 +28,6 @@ __all__ = [
     "Strategy", "enumerate_strategies", "resolve_weighted_shards",
     "STRATEGY_VAR", "FleetMeasurer", "StrategyOutcome", "strategy_profile_key",
     "FleetSearchReport", "run_fleet_search",
-    "FLEET_BENCH_VERSION", "bench_fleet", "compare_fleet_bench",
-    "render_fleet_bench", "render_fleet_compare",
+    "FLEET_BENCH_VERSION", "bench_fleet", "render_fleet_bench",
+    "verify_search",
 ]

@@ -1,4 +1,4 @@
-"""The ``repro fleet --bench`` harness: exhaustive-vs-pruned search timing.
+"""The fleet half of the bench harness: exhaustive-vs-pruned search timing.
 
 The same model is searched twice over the same fleet with the same seed:
 
@@ -7,69 +7,58 @@ The same model is searched twice over the same fleet with the same seed:
 * **pruned** -- the production path: admissible-bound pruning against
   the measured seed strategy (``docs/distributed.md``).
 
+Both legs are timed by :func:`repro.perf.bench.timed_run`, gated by its
+:func:`~repro.perf.bench.winner_gate` and diffed by its
+:func:`~repro.perf.bench.compare_bench`; this module holds only what is
+fleet-specific: the leg record fields, the pruning gates and the
+hetero-beats-homo gate.
+
 Throughput is **strategies/sec**: the enumerated strategy count divided
 by wall time.  Both legs share the numerator, so the strategies/sec
 multiple equals the wall-clock speedup and credits pruning for retiring
 strategies without measuring them.
 
-The harness is also the exactness watchdog: ``ok`` is false -- and
-``repro fleet --bench`` exits non-zero -- if the pruned leg's winning
-strategy or per-sample time differs from the exhaustive leg's, if the
-pruned leg measured more than :data:`MEASURED_FRACTION_TARGET` of the
-space, if nothing was pruned, or if pruning stood down on a clean run.
-On a heterogeneous fleet the exhaustive leg additionally gates the
-paper's claim itself: the winner must be a mixed placement that beats
-the best homogeneous one.  ``BENCH_fleet_<model>.json`` is the
-serialized document; ``--compare`` diffs a fresh document against the
-committed one, gating winner identity and the (machine-relative)
-strategies/sec multiple.
+``ok`` is false -- and ``repro fleet --bench`` exits non-zero -- if the
+pruned leg's winning strategy or per-sample time differs from the
+exhaustive leg's, if the pruned leg measured more than
+:data:`MEASURED_FRACTION_TARGET` of the space, if nothing was pruned, or
+if pruning stood down on a clean run; these gates are deterministic and
+apply on every run.  On a heterogeneous fleet at the full batch the
+exhaustive leg additionally gates the paper's claim itself: the winner
+must be a mixed placement that beats the best homogeneous one.  A quick
+run disarms that gate (see :func:`bench_fleet`).
+``BENCH_fleet_<model>.json`` is the serialized document.
 """
 
 from __future__ import annotations
 
-import time
-
-from ..models import MODEL_BUILDERS
+from ..models import MODEL_BUILDERS, model_config
+from ..perf.bench import Winner, _ratio, timed_run, winner_gate
 from .search import run_fleet_search
 from .spec import get_fleet
 
 FLEET_BENCH_VERSION = 1
 
 #: maximum fraction of the enumerated strategies the pruned leg may
-#: measure (the ISSUE's acceptance gate); deterministic on the
-#: simulator, so it applies on every host, quick runs included
+#: measure; deterministic on the simulator, so it applies on every host,
+#: quick runs included
 MEASURED_FRACTION_TARGET = 0.5
 
-#: maximum tolerated drop in the strategies/sec multiple before
-#: ``--compare`` fails; the multiple divides out the host's absolute
-#: speed, so it is the machine-stable throughput signal
-REGRESSION_THRESHOLD = 0.20
+
+def _winner(leg: str, report) -> Winner:
+    return Winner(leg, report.winner.key(), report.winner_per_sample_us,
+                  report.winner.label)
 
 
-def _model_config(name: str, batch: int, seq_len: int):
-    if name not in MODEL_BUILDERS:
-        raise ValueError(f"unknown model {name!r}; have {sorted(MODEL_BUILDERS)}")
-    module = __import__(f"repro.models.{name}", fromlist=["DEFAULT_CONFIG"])
-    config = module.DEFAULT_CONFIG.scaled(batch_size=batch, seq_len=seq_len)
-    return MODEL_BUILDERS[name], config
-
-
-def _timed_leg(builder, config, fleet, *, name, exhaustive, seed, workers,
-               microbatches) -> tuple[dict, object]:
-    start = time.perf_counter()
-    report = run_fleet_search(
-        builder, config, fleet, model_name=name, exhaustive=exhaustive,
-        seed=seed, workers=workers, microbatches=microbatches,
-    )
-    wall_s = time.perf_counter() - start
-    total = report.strategies_total
-    record = {
-        "wall_s": wall_s,
+def _record(run) -> dict:
+    report, total = run.report, run.report.strategies_total
+    return {
+        "wall_s": run.wall_s,
         "strategies_total": total,
         "strategies_measured": report.strategies_measured,
         "strategies_pruned": report.strategies_pruned,
         "measured_fraction": report.measured_fraction,
-        "strategies_per_sec": (total / wall_s) if wall_s > 0 else 0.0,
+        "strategies_per_sec": _ratio(total, run.wall_s),
         "winner": report.winner.label,
         "winner_per_sample_us": report.winner_per_sample_us,
         "winner_hetero": report.hetero_winner,
@@ -78,7 +67,22 @@ def _timed_leg(builder, config, fleet, *, name, exhaustive, seed, workers,
         "best_homogeneous_label": report.best_homogeneous_label,
         "best_homogeneous_measured": report.best_homogeneous_measured,
     }
-    return record, report
+
+
+def verify_search(report, exhaustive) -> tuple[dict, list[str]]:
+    """``repro fleet``'s default verify: the pruned ``report`` against an
+    ``exhaustive`` sweep of the same search."""
+    winner_match, failures = winner_gate(
+        _winner("exhaustive", exhaustive), _winner("pruned", report)
+    )
+    if report.standdown is None and report.strategies_pruned <= 0:
+        failures.append("bound pruning retired 0 strategies on a clean run")
+    return {
+        "winner_match": winner_match,
+        "exhaustive_winner": exhaustive.winner.label,
+        "exhaustive_per_sample_us": exhaustive.winner_per_sample_us,
+        "exhaustive_measured": exhaustive.strategies_measured,
+    }, failures
 
 
 def bench_fleet(
@@ -94,39 +98,28 @@ def bench_fleet(
 ) -> dict:
     """Run the exhaustive / pruned comparison and assemble the document.
 
-    All gates are deterministic (the simulator is noise-free) and apply
-    on every host, quick runs included; ``quick`` only shrinks the
-    recommended batch at the CLI layer, never the gates.
+    The winner, pruning and measured-fraction gates are deterministic
+    (the simulator is noise-free) and apply on every host, quick runs
+    included.  The hetero-beats-homo gate applies to full runs only: at
+    the quick batch the optimal strategy is legitimately homogeneous.
     """
-    builder, config = _model_config(name, batch, seq_len)
-    fleet = get_fleet(fleet_name)
+    config = model_config(name, batch, seq_len)
+    builder, fleet = MODEL_BUILDERS[name], get_fleet(fleet_name)
 
-    failures: list[str] = []
-    exhaustive_rec, exhaustive_rep = _timed_leg(
-        builder, config, fleet, name=name, exhaustive=True, seed=seed,
-        workers=workers, microbatches=microbatches,
-    )
-    pruned_rec, pruned_rep = _timed_leg(
-        builder, config, fleet, name=name, exhaustive=False, seed=seed,
-        workers=workers, microbatches=microbatches,
-    )
+    def leg(exhaustive: bool):
+        return timed_run(lambda clock: run_fleet_search(
+            builder, config, fleet, model_name=name, exhaustive=exhaustive,
+            seed=seed, workers=workers, microbatches=microbatches,
+        ))
 
-    winner_match = (
-        pruned_rep.winner.key() == exhaustive_rep.winner.key()
-        and pruned_rep.winner_per_sample_us == exhaustive_rep.winner_per_sample_us
+    exhaustive, pruned = leg(True), leg(False)
+    exhaustive_rec, pruned_rec = _record(exhaustive), _record(pruned)
+    winner_match, failures = winner_gate(
+        _winner("exhaustive", exhaustive.report),
+        _winner("pruned", pruned.report),
     )
-    multiple = (
-        pruned_rec["strategies_per_sec"] / exhaustive_rec["strategies_per_sec"]
-        if exhaustive_rec["strategies_per_sec"] > 0 else 0.0
-    )
-
-    if not winner_match:
-        failures.append(
-            f"pruned winner {pruned_rec['winner']} "
-            f"({pruned_rec['winner_per_sample_us']:.3f} us) diverged from "
-            f"exhaustive winner {exhaustive_rec['winner']} "
-            f"({exhaustive_rec['winner_per_sample_us']:.3f} us)"
-        )
+    multiple = _ratio(pruned_rec["strategies_per_sec"],
+                      exhaustive_rec["strategies_per_sec"])
     if pruned_rec["standdown"] is not None:
         failures.append(
             f"pruning stood down on a clean run ({pruned_rec['standdown']})"
@@ -190,59 +183,6 @@ def bench_fleet(
     }
 
 
-def compare_fleet_bench(current: dict, baseline: dict) -> dict:
-    """Diff a fresh fleet bench document against a committed baseline.
-
-    Gates what is stable across machines: the documents must describe
-    the same search (model, batch, fleet, seed -- a mislabelled
-    comparison is refused, not fuzzily accepted), the winning strategy
-    must be identical, and the strategies/sec *multiple* (which divides
-    out host speed) must not drop by more than
-    :data:`REGRESSION_THRESHOLD`.  Absolute strategies/sec is reported
-    as an informational delta only.
-    """
-    failures: list[str] = []
-    for key in ("version", "model", "batch", "fleet", "seed"):
-        if current.get(key) != baseline.get(key):
-            failures.append(
-                f"document mismatch: {key} is {current.get(key)!r} here, "
-                f"{baseline.get(key)!r} in the committed baseline"
-            )
-    cur_multiple = current.get("strategies_per_sec_multiple", 0.0)
-    base_multiple = baseline.get("strategies_per_sec_multiple", 0.0)
-    drop = 1.0 - cur_multiple / base_multiple if base_multiple > 0 else 0.0
-    cur_winner = (current.get("legs", {}).get("exhaustive", {}) or {}).get("winner")
-    base_winner = (baseline.get("legs", {}).get("exhaustive", {}) or {}).get("winner")
-    winner_match = cur_winner == base_winner and cur_winner is not None
-    if not failures:
-        if not winner_match:
-            failures.append(
-                f"winning strategy changed: {cur_winner!r} here, "
-                f"{base_winner!r} in the committed baseline"
-            )
-        if drop > REGRESSION_THRESHOLD:
-            failures.append(
-                f"strategies/sec multiple regressed {drop * 100:.1f}% "
-                f"({base_multiple:.2f}x -> {cur_multiple:.2f}x; threshold "
-                f"{REGRESSION_THRESHOLD * 100:.0f}%)"
-            )
-        if not current.get("ok", False):
-            failures.append("current document carries its own failures")
-    return {
-        "model": current.get("model"),
-        "fleet": current.get("fleet"),
-        "threshold": REGRESSION_THRESHOLD,
-        "winner_match": winner_match,
-        "winner_current": cur_winner,
-        "winner_baseline": base_winner,
-        "multiple_current": cur_multiple,
-        "multiple_baseline": base_multiple,
-        "multiple_drop": drop,
-        "failures": failures,
-        "ok": not failures,
-    }
-
-
 def render_fleet_bench(doc: dict) -> str:
     """Human-readable summary of a fleet bench document."""
     lines = [
@@ -276,25 +216,4 @@ def render_fleet_bench(doc: dict) -> str:
             f"ok: identical winner, measured <= "
             f"{doc['measured_fraction_target'] * 100:.0f}% of the space"
         )
-    return "\n".join(lines)
-
-
-def render_fleet_compare(diff: dict) -> str:
-    """Human-readable summary of a :func:`compare_fleet_bench` diff."""
-    lines = [
-        f"fleet bench compare: {diff.get('model')} on {diff.get('fleet')} "
-        f"(gate: winner identity + multiple within "
-        f"{diff['threshold'] * 100:.0f}%)",
-        f"winner: {diff.get('winner_baseline')!r} -> "
-        f"{diff.get('winner_current')!r} "
-        f"({'match' if diff.get('winner_match') else 'CHANGED'})",
-        f"multiple: {diff.get('multiple_baseline', 0.0):.2f}x -> "
-        f"{diff.get('multiple_current', 0.0):.2f}x "
-        f"(drop {diff.get('multiple_drop', 0.0) * 100:.1f}%)",
-    ]
-    if diff["failures"]:
-        lines.append("FAILURES:")
-        lines.extend(f"  - {msg}" for msg in diff["failures"])
-    else:
-        lines.append("ok: winner stable, relative throughput held")
     return "\n".join(lines)

@@ -6,6 +6,8 @@ points.  Each builder traces one training mini-batch (forward + loss +
 backward) at fixed shapes.
 """
 
+import importlib
+
 from .cells import ModelBuilder, ModelConfig, TracedModel
 from .datasets import (
     HUTTER_LENGTHS,
@@ -40,6 +42,25 @@ EXTRA_BUILDERS = {
     "tcn": build_tcn,
 }
 
+
+
+def model_config(name: str, batch: int, seq_len: int, **overrides) -> ModelConfig:
+    """Zoo model ``name``'s default configuration at ``batch`` x ``seq_len``."""
+    if name not in MODEL_BUILDERS:
+        raise ValueError(f"unknown model {name!r}; have {sorted(MODEL_BUILDERS)}")
+    module = importlib.import_module(f"{__name__}.{name}")
+    return module.DEFAULT_CONFIG.scaled(
+        batch_size=batch, seq_len=seq_len, **overrides
+    )
+
+
+def build_model(name: str, batch: int, seq_len: int, **overrides) -> TracedModel:
+    """Trace zoo model ``name`` at ``batch`` x ``seq_len``; ``overrides``
+    are further :class:`ModelConfig` fields (e.g. ``use_embedding``)."""
+    config = model_config(name, batch, seq_len, **overrides)
+    return MODEL_BUILDERS[name](config)
+
+
 __all__ = [
     "ModelBuilder", "ModelConfig", "TracedModel",
     "HUTTER_LENGTHS", "PAPER_PTB_BUCKETS", "PTB_LENGTHS",
@@ -47,4 +68,5 @@ __all__ = [
     "build_attn_lstm", "build_gnmt", "build_milstm", "build_rhn",
     "build_scrnn", "build_stacked_lstm", "build_sublstm",
     "build_tcn", "MODEL_BUILDERS", "EXTRA_BUILDERS",
+    "build_model", "model_config",
 ]

@@ -1,35 +1,44 @@
-"""The ``repro bench`` harness: baseline-vs-fast exploration timing.
+"""The bench harness: timed legs, one winner gate, one regression compare.
 
-For each requested feature variant, a model is optimized twice with the
-same graph, device, seed and budget:
+``repro bench`` optimizes a model several times with the same graph,
+device, seed and budget, once per **leg**:
 
 * **baseline** -- ``FastPath(cache=False, prune=False)``: the exhaustive
   path, every plan lowered from scratch;
 * **fast** -- ``FastPath(cache=True, prune=True)``: the compilation
-  cache plus cost-model pruning.
+  cache plus cost-model pruning;
+* for the primary variant, **parallel** (the fast configuration on N
+  measurement workers), **warm** (the fast configuration rerun against
+  the profile store an untimed rerun populated -- the
+  optimization-as-a-service path of ``docs/serving.md``) and, given a
+  cost-model artifact, **learned** (the learned top-k ranker armed).
 
-Two more legs run for the primary variant: **parallel** (the fast
-configuration on N measurement workers) and **warm** (the fast
-configuration rerun against the profile store the fast leg populated --
-the optimization-as-a-service path of ``docs/serving.md``).
+``repro fleet --bench`` (:mod:`repro.fleet.bench`) runs the exhaustive
+and bound-pruned fleet strategy searches through the same pieces:
 
-Both runs are wrapped in a :class:`~repro.perf.timers.PhaseClock`, so
-the output breaks wall time into the exploration phases (``enumerate`` /
-``prerank`` / ``lower`` / ``validate`` / ``simulate`` / ``explore``),
-and the process-wide memos (GEMM-plan cache, kernel-key cache) are
-cleared before *every* run so neither leg inherits the other's warmth.
+* :func:`timed_run` -- the one wall-clock path.  It clears the
+  process-wide memos, so no leg inherits another's warmth, and wraps the
+  leg in a :class:`~repro.perf.timers.PhaseClock` whose exclusive phases
+  (``enumerate`` / ``prerank`` / ``lower`` / ``validate`` / ``simulate``
+  / ``explore`` / ``other``) sum to the timed wall.  The paper-table
+  harness (``benchmarks/harness.py``) times its runs through
+  :func:`timed_session_run` as well;
+* :func:`winner_gate` -- the exactness watchdog: a candidate leg must
+  land on the reference leg's winner at exactly the reference's time.
+  Every leg pair and ``repro fleet``'s default verify use it, and any
+  failure makes ``ok`` false and the command exit non-zero;
+* :func:`compare_bench` / :func:`render_compare` -- the regression gate
+  of ``--compare`` for both document kinds: the baseline must describe
+  the same job, winners must be identical, and the machine-relative
+  throughput ratio may not drop by more than :data:`REGRESSION_THRESHOLD`.
 
 Throughput is reported as **configs/sec**: the number of configuration
 choices the search space contained *before* pruning, divided by wall
 time.  Both legs share that numerator, so the configs/sec ratio equals
 the wall-clock speedup -- pruning is credited for retiring choices
-without measuring them, which is exactly its job.
-
-The harness is also the exactness watchdog: ``ok`` is false -- and
-``repro bench`` exits non-zero -- if the fast run's winning
-configuration or final epoch time differs from the baseline's in any
-variant, or if the cache never hit.  ``BENCH_<model>.json`` is the
-serialized document; see ``docs/performance.md`` for how to read it.
+without measuring them, which is exactly its job.  ``BENCH_<model>.json``
+is the serialized document; see ``docs/performance.md`` for how to read
+it.
 """
 
 from __future__ import annotations
@@ -37,12 +46,13 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
-from ..core.session import AstraSession, SessionReport
+from ..core.session import AstraSession
 from ..gpu import DEVICES
 from ..gpu.device import GPUSpec
-from ..models import MODEL_BUILDERS
+from ..models import build_model
 from ..obs.metrics import MetricsRegistry
 from .ranker import FastPath
 from .timers import PhaseClock
@@ -72,7 +82,7 @@ PARALLEL_SPEEDUP_TARGET = 3.0
 DEFAULT_WORKERS = 4
 
 #: maximum fraction of the cold run's measured configurations a
-#: warm-started rerun may measure (the ISSUE's acceptance gate);
+#: warm-started rerun may measure (the warm leg's acceptance gate);
 #: deterministic on the simulator, so it applies on every host
 WARM_CONFIGS_TARGET = 0.5
 
@@ -103,23 +113,76 @@ def _clear_process_memos() -> None:
     signature._KERNEL_KEY_MEMO.clear()
 
 
+def _ratio(num: float, den: float) -> float:
+    return num / den if den > 0 else 0.0
+
+
+@dataclass(frozen=True)
+class Winner:
+    """One leg's answer, as :func:`winner_gate` compares it."""
+
+    #: the leg's name in failure messages
+    leg: str
+    #: the winning configuration, compared with ``==``
+    key: object
+    #: the winner's time, compared exactly
+    time_us: float
+    #: a readable winner for failure messages ("" when ``key`` is too long)
+    label: str = ""
+
+    def named(self) -> str:
+        return f"{self.leg} winner" + (
+            f" {self.label} ({self.time_us:.3f} us)" if self.label else ""
+        )
+
+
+def winner_gate(ref: Winner, cand: Winner,
+                scope: str = "") -> tuple[bool, list[str]]:
+    """The one winner-identity gate: ``cand`` must land on ``ref``'s winner.
+
+    Both the winning configuration and its time must be *exactly* equal
+    -- the fast path, the engine, the store, the learned ranker and bound
+    pruning all claim bit-identical winners, not statistically similar
+    ones.  Returns ``(match, failures)``; ``scope`` prefixes the failure
+    messages (the variant name).
+    """
+    prefix = f"{scope}: " if scope else ""
+    failures = []
+    if cand.key != ref.key:
+        failures.append(f"{prefix}{cand.named()} diverged from {ref.named()}")
+    if cand.time_us != ref.time_us:
+        failures.append(
+            f"{prefix}{cand.leg} winner time diverged "
+            f"({ref.leg} {ref.time_us} us, {cand.leg} {cand.time_us} us)"
+        )
+    return not failures, failures
+
+
 @dataclass
 class BenchRun:
-    """One timed optimization: the report plus its timing instruments."""
+    """One timed leg: its result plus its timing instruments."""
 
-    report: SessionReport
+    report: object
     clock: PhaseClock
-    metrics: MetricsRegistry
     wall_s: float
 
+    def winner(self, leg: str) -> Winner:
+        """A session leg's winning assignment and final epoch time."""
+        return Winner(
+            leg,
+            {k: repr(v) for k, v in self.report.astra.assignment.items()},
+            self.report.best_time_us,
+        )
+
     def record(self) -> dict:
+        """A session leg's document record."""
         fast_path = self.report.astra.fast_path
         choices = fast_path.get("choices_total", 0)
         return {
             "wall_s": self.wall_s,
             "phase_total_s": self.clock.total_s,
             "phases_s": dict(sorted(self.clock.seconds.items())),
-            "configs_per_sec": (choices / self.wall_s) if self.wall_s > 0 else 0.0,
+            "configs_per_sec": _ratio(choices, self.wall_s),
             "choices_total": choices,
             "choices_pruned": fast_path.get("choices_pruned", 0),
             "configs_explored": self.report.configs_explored,
@@ -131,6 +194,23 @@ class BenchRun:
             "warm": dict(self.report.warm),
             "learned": fast_path.get("learned"),
         }
+
+
+def timed_run(run) -> BenchRun:
+    """Time one leg, ``run(clock)``, from a cold start.
+
+    The one wall-clock path of every bench leg.  The clock's outer
+    ``other`` phase covers everything the leg does not attribute to a
+    finer phase, so the exclusive phase times always sum to the timed
+    wall clock (pinned by the harness-timing regression test).
+    """
+    _clear_process_memos()
+    clock = PhaseClock()
+    start = time.perf_counter()
+    with clock.phase("other"):
+        report = run(clock)
+    return BenchRun(report=report, clock=clock,
+                    wall_s=time.perf_counter() - start)
 
 
 def timed_session_run(
@@ -145,67 +225,27 @@ def timed_session_run(
     store=None,
     learned=None,
 ) -> BenchRun:
-    """Optimize ``model`` once under a phase clock, from a cold start.
+    """Optimize ``model`` once through :func:`timed_run`.
 
-    The clock's outer ``other`` phase covers session construction and any
-    un-instrumented residue, so the exclusive phase times always sum to
-    the timed wall clock (pinned by the harness-timing regression test).
-    The parallel leg's pool lifetime -- spawn through shutdown -- is
-    inside the timed wall: using workers costs their startup.  A
-    ``store`` makes the run a warm-start participant (docs/serving.md):
-    seeding from the store and publishing back are both inside the timed
-    wall, so the warm leg pays for its own I/O.
+    Session construction is inside the timed wall.  So is the parallel
+    leg's pool lifetime -- spawn through shutdown: using workers costs
+    their startup.  A ``store`` makes the run a warm-start participant
+    (docs/serving.md): seeding from the store and publishing back are
+    both inside the timed wall, so the warm leg pays for its own I/O.
     """
-    _clear_process_memos()
-    device = device if device is not None else DEVICES["P100"]
-    clock = PhaseClock()
-    metrics = MetricsRegistry()
-    start = time.perf_counter()
-    with clock.phase("other"):
+    def run(clock):
         session = AstraSession(
-            model, device=device, features=features, seed=seed,
-            metrics=metrics, fast=fast, clock=clock, workers=workers,
-            store=store, learned=learned,
+            model, device=device if device is not None else DEVICES["P100"],
+            features=features, seed=seed, metrics=MetricsRegistry(),
+            fast=fast, clock=clock, workers=workers, store=store,
+            learned=learned,
         )
         try:
-            report = session.optimize(max_minibatches=budget)
+            return session.optimize(max_minibatches=budget)
         finally:
             session.close()
-    wall_s = time.perf_counter() - start
-    return BenchRun(report=report, clock=clock, metrics=metrics, wall_s=wall_s)
 
-
-def _build_model(name: str, batch: int, seq_len: int):
-    module = __import__(f"repro.models.{name}", fromlist=["DEFAULT_CONFIG"])
-    config = module.DEFAULT_CONFIG.scaled(batch_size=batch, seq_len=seq_len)
-    return MODEL_BUILDERS[name](config)
-
-
-def _winner_match(base: BenchRun, fast: BenchRun) -> dict:
-    """The exactness invariant, checked per variant.
-
-    Choices repr-compare (they are plain values: ints, strings, library
-    names); the final epoch time must be *exactly* equal -- the fast path
-    claims bit-identical winners, not statistically similar ones.
-    """
-    base_assignment = {k: repr(v) for k, v in base.report.astra.assignment.items()}
-    fast_assignment = {k: repr(v) for k, v in fast.report.astra.assignment.items()}
-    return {
-        "assignment_match": base_assignment == fast_assignment,
-        "best_time_match": base.report.best_time_us == fast.report.best_time_us,
-        "assignment": fast_assignment,
-    }
-
-
-@dataclass
-class BenchDoc:
-    """The assembled ``BENCH_<model>.json`` document."""
-
-    doc: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.doc["ok"]
+    return timed_run(run)
 
 
 def bench_model(
@@ -221,61 +261,48 @@ def bench_model(
     workers: int = DEFAULT_WORKERS,
     learned=None,
 ) -> dict:
-    """Run the baseline / fast / parallel comparison and assemble the doc.
+    """Run the baseline / fast / parallel / warm / learned legs and
+    assemble the document.
 
     ``quick`` restricts the sweep to the primary variant and waives the
     configs/sec targets (CI smoke must not gate on machine speed); the
-    exactness and cache-effectiveness guards always apply.
-
-    The **parallel** leg (primary variant only -- the engine parallelizes
-    the fusion+kernel trees) reruns the fast configuration with
-    ``workers`` measurement workers.  Its gates:
-
-    * equivalence, always, on every host: the parallel run's winning
-      assignment, final epoch time and explored-config count must equal
-      the serial fast run's *exactly* -- a parallel engine that changes
-      the answer is broken, not fast;
-    * throughput, full runs only: configs/sec at least
-      :data:`PARALLEL_SPEEDUP_TARGET` times the serial fast leg's, when
-      the host has at least ``workers`` cores.  On smaller hosts the
-      measured ratio is still recorded but the gate reports itself
-      skipped (``parallel_gate``); quick runs only require the ratio to
-      be non-zero (both legs completed and were timed).
-
-    The **warm** leg (primary variant only) reruns the fast
-    configuration against a profile store populated by an untimed rerun
-    of the same job (docs/serving.md).  Its gates -- identical winner,
-    at most :data:`WARM_CONFIGS_TARGET` of the cold measurements,
-    non-zero seeding -- are deterministic and apply always; see
-    :func:`_warm_leg`.
-
-    The **learned** leg (primary variant only, when ``learned`` names a
-    cost-model artifact) reruns the fast configuration with the learned
-    top-k ranker armed (docs/learning.md).  Its gates -- winner and
-    epoch time identical to the exhaustive baseline, at most
-    :data:`LEARNED_CONFIGS_TARGET` of the baseline's measurements, a
-    non-zero model hit rate, and a passing what-if cross-check -- are
-    deterministic and apply always; see :func:`_learned_leg`.
+    exactness and cache-effectiveness guards always apply.  The primary
+    variant's extra legs and their gates are described at
+    :func:`_parallel_leg` (``workers`` > 0), :func:`_warm_leg` and
+    :func:`_learned_leg` (when ``learned`` names a cost-model artifact).
     """
-    if name not in MODEL_BUILDERS:
-        raise ValueError(f"unknown model {name!r}; have {sorted(MODEL_BUILDERS)}")
+    model = build_model(name, batch, seq_len)
     device = DEVICES[device_name]
     if quick:
         variants = (PRIMARY_VARIANT,)
-    model = _build_model(name, batch, seq_len)
     host_cpus = os.cpu_count() or 1
 
     failures: list[str] = []
     variant_docs: dict[str, dict] = {}
-    warm_dir = tempfile.TemporaryDirectory(prefix="astra-bench-store-")
-    try:
-        _bench_variants(
-            model, variants, device, seed, budget, quick, workers,
-            host_cpus, warm_dir.name, failures, variant_docs,
-            learned=learned,
-        )
-    finally:
-        warm_dir.cleanup()
+    for variant in variants:
+        run = partial(timed_session_run, model, features=variant,
+                      device=device, seed=seed, budget=budget)
+        base, fast = run(fast=BASELINE_FAST_PATH), run(fast=FAST_FAST_PATH)
+        vdoc = variant_docs[variant] = _fast_leg(variant, base, fast, failures)
+        if variant != PRIMARY_VARIANT:
+            continue
+        if workers:
+            vdoc.update(_parallel_leg(
+                fast, run(fast=FAST_FAST_PATH, workers=workers), workers,
+                host_cpus, quick, failures,
+            ))
+        # populate run: identical job, untimed, against a fresh store --
+        # the fast leg stays store-free so its wall time remains
+        # comparable to committed (pre-warm-leg) baselines, which the
+        # serve import cost would otherwise contaminate
+        with tempfile.TemporaryDirectory(prefix="astra-bench-store-") as store:
+            run(fast=FAST_FAST_PATH, store=store)
+            warm = run(fast=FAST_FAST_PATH, store=store)
+        vdoc.update(_warm_leg(fast, warm, failures))
+        if learned is not None:
+            vdoc.update(_learned_leg(
+                base, run(fast=FAST_FAST_PATH, learned=learned), failures,
+            ))
 
     primary = variant_docs.get(PRIMARY_VARIANT)
     if primary is not None:
@@ -309,83 +336,26 @@ def bench_model(
     }
 
 
-def _bench_variants(
-    model, variants, device, seed, budget, quick, workers,
-    host_cpus, warm_root, failures, variant_docs, learned=None,
-) -> None:
-    for variant in variants:
-        base = timed_session_run(
-            model, features=variant, device=device, seed=seed, budget=budget,
-            fast=BASELINE_FAST_PATH,
-        )
-        fast = timed_session_run(
-            model, features=variant, device=device, seed=seed, budget=budget,
-            fast=FAST_FAST_PATH,
-        )
-        match = _winner_match(base, fast)
-        base_rec, fast_rec = base.record(), fast.record()
-        ratio = (
-            fast_rec["configs_per_sec"] / base_rec["configs_per_sec"]
-            if base_rec["configs_per_sec"] > 0 else 0.0
-        )
-        cache = fast_rec["cache"] or {}
-        variant_docs[variant] = {
-            "baseline": base_rec,
-            "fast": fast_rec,
-            "configs_per_sec_ratio": ratio,
-            "wall_speedup": (
-                base_rec["wall_s"] / fast_rec["wall_s"]
-                if fast_rec["wall_s"] > 0 else 0.0
-            ),
-            "cache_hit_rate": cache.get("hit_rate", 0.0),
-            "winner_match": match["assignment_match"] and match["best_time_match"],
-            "assignment_match": match["assignment_match"],
-            "best_time_match": match["best_time_match"],
-            "winning_assignment": match["assignment"],
-        }
-        if not match["assignment_match"]:
-            failures.append(
-                f"{variant}: pruned winner diverged from exhaustive winner"
-            )
-        if not match["best_time_match"]:
-            failures.append(
-                f"{variant}: final epoch time diverged "
-                f"(baseline {base_rec['best_time_us']} us, "
-                f"fast {fast_rec['best_time_us']} us)"
-            )
-        if variant == PRIMARY_VARIANT and workers:
-            par = timed_session_run(
-                model, features=variant, device=device, seed=seed,
-                budget=budget, fast=FAST_FAST_PATH, workers=workers,
-            )
-            variant_docs[variant].update(
-                _parallel_leg(fast, par, workers, host_cpus, quick, failures)
-            )
-        if variant == PRIMARY_VARIANT:
-            # populate run: identical job, untimed, against a fresh
-            # store -- the fast leg stays store-free so its wall time
-            # remains comparable to committed (pre-warm-leg) baselines,
-            # which the serve import cost would otherwise contaminate
-            store = os.path.join(warm_root, variant)
-            timed_session_run(
-                model, features=variant, device=device, seed=seed,
-                budget=budget, fast=FAST_FAST_PATH, store=store,
-            )
-            warm = timed_session_run(
-                model, features=variant, device=device, seed=seed,
-                budget=budget, fast=FAST_FAST_PATH, store=store,
-            )
-            variant_docs[variant].update(
-                _warm_leg(fast, warm, failures)
-            )
-        if variant == PRIMARY_VARIANT and learned is not None:
-            lrn = timed_session_run(
-                model, features=variant, device=device, seed=seed,
-                budget=budget, fast=FAST_FAST_PATH, learned=learned,
-            )
-            variant_docs[variant].update(
-                _learned_leg(base, lrn, failures)
-            )
+def _fast_leg(variant: str, base: BenchRun, fast: BenchRun,
+              failures: list[str]) -> dict:
+    """Record and gate the fast leg against the exhaustive baseline."""
+    base_rec, fast_rec = base.record(), fast.record()
+    exhaustive, pruned = base.winner("exhaustive"), fast.winner("pruned")
+    match, diverged = winner_gate(exhaustive, pruned, scope=variant)
+    failures.extend(diverged)
+    return {
+        "baseline": base_rec,
+        "fast": fast_rec,
+        "configs_per_sec_ratio": _ratio(
+            fast_rec["configs_per_sec"], base_rec["configs_per_sec"]
+        ),
+        "wall_speedup": _ratio(base_rec["wall_s"], fast_rec["wall_s"]),
+        "cache_hit_rate": (fast_rec["cache"] or {}).get("hit_rate", 0.0),
+        "winner_match": match,
+        "assignment_match": exhaustive.key == pruned.key,
+        "best_time_match": exhaustive.time_us == pruned.time_us,
+        "winning_assignment": pruned.key,
+    }
 
 
 def _warm_leg(fast: BenchRun, warm: BenchRun, failures: list[str]) -> dict:
@@ -407,21 +377,11 @@ def _warm_leg(fast: BenchRun, warm: BenchRun, failures: list[str]) -> dict:
       silently ran cold (store misconfigured, digest mismatch) would
       otherwise pass the identity gates vacuously.
     """
-    match = _winner_match(fast, warm)
+    match, diverged = winner_gate(fast.winner("cold fast"), warm.winner("warm"))
+    failures.extend(diverged)
     fast_rec, warm_rec = fast.record(), warm.record()
     seeded = (warm_rec["warm"] or {}).get("seeded_entries", 0)
-    fraction = (
-        warm_rec["configs_explored"] / fast_rec["configs_explored"]
-        if fast_rec["configs_explored"] > 0 else 0.0
-    )
-    if not match["assignment_match"]:
-        failures.append("warm: winner diverged from cold fast winner")
-    if not match["best_time_match"]:
-        failures.append(
-            f"warm: final epoch time diverged "
-            f"(cold {fast_rec['best_time_us']} us, "
-            f"warm {warm_rec['best_time_us']} us)"
-        )
+    fraction = _ratio(warm_rec["configs_explored"], fast_rec["configs_explored"])
     if fraction > WARM_CONFIGS_TARGET:
         failures.append(
             f"warm: measured {warm_rec['configs_explored']} of "
@@ -433,15 +393,10 @@ def _warm_leg(fast: BenchRun, warm: BenchRun, failures: list[str]) -> dict:
         failures.append("warm: store seeded 0 entries (warm leg ran cold)")
     return {
         "warm": warm_rec,
-        "warm_speedup": (
-            fast_rec["wall_s"] / warm_rec["wall_s"]
-            if warm_rec["wall_s"] > 0 else 0.0
-        ),
+        "warm_speedup": _ratio(fast_rec["wall_s"], warm_rec["wall_s"]),
         "warm_configs_fraction": fraction,
         "warm_seeded_entries": seeded,
-        "warm_winner_match": (
-            match["assignment_match"] and match["best_time_match"]
-        ),
+        "warm_winner_match": match,
         "warm_gate": (
             f"<= {WARM_CONFIGS_TARGET * 100:.0f}% of cold configs, "
             f"identical winner"
@@ -470,26 +425,16 @@ def _learned_leg(base: BenchRun, lrn: BenchRun, failures: list[str]) -> dict:
     * the what-if cross-check must have run (non-zero checks) and agree
       within :data:`LEARNED_WHATIF_GATE` on the critical kernels.
     """
-    match = _winner_match(base, lrn)
     base_rec, lrn_rec = base.record(), lrn.record()
     summary = lrn_rec.get("learned") or {}
     whatif = summary.get("whatif") or {}
-    fraction = (
-        lrn_rec["configs_explored"] / base_rec["configs_explored"]
-        if base_rec["configs_explored"] > 0 else 0.0
-    )
+    fraction = _ratio(lrn_rec["configs_explored"], base_rec["configs_explored"])
     if summary.get("rejected"):
         failures.append(
             f"learned: model artifact rejected ({summary['rejected']})"
         )
-    if not match["assignment_match"]:
-        failures.append("learned: winner diverged from exhaustive winner")
-    if not match["best_time_match"]:
-        failures.append(
-            f"learned: final epoch time diverged "
-            f"(exhaustive {base_rec['best_time_us']} us, "
-            f"learned {lrn_rec['best_time_us']} us)"
-        )
+    match, diverged = winner_gate(base.winner("exhaustive"), lrn.winner("learned"))
+    failures.extend(diverged)
     if fraction > LEARNED_CONFIGS_TARGET:
         failures.append(
             f"learned: measured {lrn_rec['configs_explored']} of "
@@ -514,14 +459,9 @@ def _learned_leg(base: BenchRun, lrn: BenchRun, failures: list[str]) -> dict:
         )
     return {
         "learned": lrn_rec,
-        "learned_speedup": (
-            base_rec["wall_s"] / lrn_rec["wall_s"]
-            if lrn_rec["wall_s"] > 0 else 0.0
-        ),
+        "learned_speedup": _ratio(base_rec["wall_s"], lrn_rec["wall_s"]),
         "learned_configs_fraction": fraction,
-        "learned_winner_match": (
-            match["assignment_match"] and match["best_time_match"]
-        ),
+        "learned_winner_match": match,
         "learned_choices_pruned": summary.get("choices_pruned", 0),
         "learned_whatif_checked": whatif.get("checked", 0),
         "learned_whatif_max_rel_error": whatif.get("max_rel_error", 0.0),
@@ -542,40 +482,43 @@ def _parallel_leg(
     quick: bool,
     failures: list[str],
 ) -> dict:
-    """Record and gate the parallel leg against the serial fast leg."""
-    match = _winner_match(fast, par)
+    """Record and gate the parallel leg against the serial fast leg.
+
+    The engine parallelizes the fusion+kernel trees, so the leg reruns
+    the fast configuration with ``workers`` measurement workers.  Its
+    gates:
+
+    * equivalence, always, on every host: the winning assignment, final
+      epoch time and explored-config count must equal the serial fast
+      run's *exactly* -- a parallel engine that changes the answer is
+      broken, not fast;
+    * throughput, full runs only: configs/sec at least
+      :data:`PARALLEL_SPEEDUP_TARGET` times the serial fast leg's, when
+      the host has at least ``workers`` cores.  On smaller hosts the
+      measured ratio is still recorded but the gate reports itself
+      skipped (``parallel_gate``); quick runs only require the ratio to
+      be non-zero (both legs completed and were timed).
+    """
+    leg = f"parallel@{workers}"
+    match, diverged = winner_gate(fast.winner("serial fast"), par.winner(leg))
+    failures.extend(diverged)
     fast_rec, par_rec = fast.record(), par.record()
-    ratio = (
-        par_rec["configs_per_sec"] / fast_rec["configs_per_sec"]
-        if fast_rec["configs_per_sec"] > 0 else 0.0
-    )
-    configs_match = (
-        par_rec["configs_explored"] == fast_rec["configs_explored"]
-    )
-    if not match["assignment_match"]:
+    ratio = _ratio(par_rec["configs_per_sec"], fast_rec["configs_per_sec"])
+    if par_rec["configs_explored"] != fast_rec["configs_explored"]:
+        match = False
         failures.append(
-            f"parallel@{workers}: winner diverged from serial fast winner"
-        )
-    if not match["best_time_match"]:
-        failures.append(
-            f"parallel@{workers}: final epoch time diverged "
-            f"(serial {fast_rec['best_time_us']} us, "
-            f"parallel {par_rec['best_time_us']} us)"
-        )
-    if not configs_match:
-        failures.append(
-            f"parallel@{workers}: explored {par_rec['configs_explored']} "
+            f"{leg}: explored {par_rec['configs_explored']} "
             f"configs, serial explored {fast_rec['configs_explored']}"
         )
     if quick:
         gate = "non-zero"
         if ratio <= 0.0:
-            failures.append(f"parallel@{workers}: configs/sec ratio is zero")
+            failures.append(f"{leg}: configs/sec ratio is zero")
     elif host_cpus >= workers:
         gate = f">= {PARALLEL_SPEEDUP_TARGET:.1f}x"
         if ratio < PARALLEL_SPEEDUP_TARGET:
             failures.append(
-                f"parallel@{workers}: configs/sec ratio {ratio:.2f} below "
+                f"{leg}: configs/sec ratio {ratio:.2f} below "
                 f"the {PARALLEL_SPEEDUP_TARGET:.1f}x target"
             )
     else:
@@ -585,16 +528,13 @@ def _parallel_leg(
     return {
         "parallel": par_rec,
         "parallel_ratio": ratio,
-        "parallel_winner_match": (
-            match["assignment_match"] and match["best_time_match"]
-            and configs_match
-        ),
+        "parallel_winner_match": match,
         "parallel_gate": gate,
     }
 
 
-#: maximum tolerated drop in the machine-relative configs/sec ratio
-#: before ``repro bench --compare`` fails (see :func:`compare_bench`)
+#: maximum tolerated drop in a document's machine-relative throughput
+#: ratio before ``--compare`` fails (see :func:`compare_bench`)
 REGRESSION_THRESHOLD = 0.20
 
 #: the document version that introduced each optional leg.  The compare
@@ -610,19 +550,51 @@ LEG_VERSIONS = {"warm": 3, "learned": 4}
 _LEG_LABELS = {"warm": "warm-start", "learned": "learned-top-k"}
 
 
+def _compare_rows(doc: dict) -> tuple[str, dict[str, dict]]:
+    """Either document kind as its throughput unit and comparable rows.
+
+    A session document has one row per variant: the fast leg's winning
+    assignment and configs/sec ratio over the baseline.  A fleet
+    document has one row named after its fleet: the exhaustive winner
+    and the pruned leg's strategies/sec multiple.
+    """
+    if "legs" in doc:
+        legs = doc["legs"]
+        return "strategies", {doc.get("fleet"): {
+            "winner": legs["exhaustive"].get("winner"),
+            "ratio": doc.get("strategies_per_sec_multiple", 0.0),
+            "rate": legs["pruned"]["strategies_per_sec"],
+        }}
+    return "configs", {
+        variant: {
+            "winner": vdoc.get("winning_assignment"),
+            "ratio": vdoc.get("configs_per_sec_ratio", 0.0),
+            "rate": vdoc["fast"]["configs_per_sec"],
+            "hit_rate": vdoc.get("cache_hit_rate", 0.0),
+        }
+        for variant, vdoc in doc.get("variants", {}).items()
+    }
+
+
 def compare_bench(current: dict, baseline: dict) -> dict:
     """Diff a fresh bench document against a committed baseline.
 
-    The regression gate compares what is stable across machines:
+    Both document kinds -- ``BENCH_<model>.json`` and
+    ``BENCH_fleet_<model>.json`` -- go through the same gate, which
+    compares what is stable across machines:
 
-    * **winner identity** -- the winning assignment of every variant both
-      documents ran must be identical; an optimizer that starts picking a
-      different plan has changed behavior, not speed;
-    * **relative throughput** -- the fast-vs-baseline ``configs_per_sec``
-      *ratio*, which divides out the host's absolute speed.  A drop of
-      more than :data:`REGRESSION_THRESHOLD` (20%) in any shared variant
-      fails the comparison.
-
+    * **the job** -- the baseline must describe the same job: model,
+      batch, sequence length, device (a fleet document: fleet and
+      document version) and seed.  A mismatch is refused with the field
+      named; nothing else is compared.  ``quick`` is not part of the
+      job: CI compares a quick document against the committed full one;
+    * **winner identity** -- the winning assignment (strategy) of every
+      row both documents carry must be identical; an optimizer that
+      starts picking a different plan has changed behavior, not speed;
+    * **relative throughput** -- the configs/sec ratio (strategies/sec
+      multiple), which divides out the host's absolute speed.  A drop
+      of more than :data:`REGRESSION_THRESHOLD` (20%) in any shared row
+      fails the comparison;
     * **optional legs** (warm-start, learned-top-k) -- when *both*
       documents carry the leg, its ``<leg>_speedup`` ratio (which
       divides out the host's absolute speed) must not drop by more than
@@ -633,67 +605,88 @@ def compare_bench(current: dict, baseline: dict) -> dict:
       that carries a leg its declared version cannot **fails** the
       comparison, and a document new enough to carry the leg but
       missing it reports a distinct skip reason -- the learned gate can
-      never silently pass against a pre-learned baseline.
+      never silently pass against a pre-learned baseline;
+    * a current document that carries its own failures fails.
 
-    Absolute configs/sec and cache hit rates are reported as
+    Absolute throughput and cache hit rates are reported as
     informational deltas only -- they track the machine as much as the
     code, so they never gate.
     """
-    failures: list[str] = []
-    variants: dict[str, dict] = {}
-    cur_version = current.get("version", 0)
-    base_version = baseline.get("version", 0)
-    shared = [
-        v for v in baseline.get("variants", {})
-        if v in current.get("variants", {})
+    fleet = "legs" in current
+    job = (
+        ("version", "model", "batch", "seq_len", "fleet", "seed") if fleet
+        else ("model", "batch", "seq_len", "device", "seed")
+    )
+    failures = [
+        f"document mismatch: {key} is {current.get(key)!r} here, "
+        f"{baseline.get(key)!r} in the committed baseline"
+        for key in job if current.get(key) != baseline.get(key)
     ]
-    if not shared:
-        failures.append("no shared variants between current and baseline docs")
-    for variant in shared:
-        cur, base = current["variants"][variant], baseline["variants"][variant]
-        cur_ratio = cur.get("configs_per_sec_ratio", 0.0)
-        base_ratio = base.get("configs_per_sec_ratio", 0.0)
-        ratio_drop = (
-            1.0 - cur_ratio / base_ratio if base_ratio > 0 else 0.0
-        )
-        winner_match = (
-            cur.get("winning_assignment") == base.get("winning_assignment")
-        )
-        variants[variant] = {
-            "winner_match": winner_match,
-            "ratio_current": cur_ratio,
-            "ratio_baseline": base_ratio,
-            "ratio_drop": ratio_drop,
-            # informational: machine-dependent, never gated
-            "configs_per_sec_current": cur["fast"]["configs_per_sec"],
-            "configs_per_sec_baseline": base["fast"]["configs_per_sec"],
-            "cache_hit_rate_current": cur.get("cache_hit_rate", 0.0),
-            "cache_hit_rate_baseline": base.get("cache_hit_rate", 0.0),
-        }
-        if not winner_match:
+    unit, cur_rows = _compare_rows(current)
+    rows: dict[str, dict] = {}
+    if not failures:
+        base_rows = _compare_rows(baseline)[1]
+        shared = [row for row in base_rows if row in cur_rows]
+        if not shared:
             failures.append(
-                f"{variant}: winning assignment changed vs committed baseline"
+                "no shared variants between current and baseline docs"
             )
-        if ratio_drop > REGRESSION_THRESHOLD:
-            failures.append(
-                f"{variant}: configs/sec ratio regressed "
-                f"{ratio_drop * 100:.1f}% "
-                f"({base_ratio:.2f}x -> {cur_ratio:.2f}x; "
-                f"threshold {REGRESSION_THRESHOLD * 100:.0f}%)"
+        for row in shared:
+            rows[row] = _compare_row(
+                row, unit, cur_rows[row], base_rows[row], failures
             )
-        for leg in LEG_VERSIONS:
-            _compare_leg(
-                variant, leg, cur, base, cur_version, base_version,
-                variants[variant], failures,
-            )
+            if not fleet:
+                for leg in LEG_VERSIONS:
+                    _compare_leg(
+                        row, leg, current["variants"][row],
+                        baseline["variants"][row], current.get("version", 0),
+                        baseline.get("version", 0), rows[row], failures,
+                    )
+        if current.get("ok") is False:
+            failures.append("current document carries its own failures")
     return {
         "model": current.get("model"),
         "baseline_model": baseline.get("model"),
+        "unit": unit,
         "threshold": REGRESSION_THRESHOLD,
-        "variants": variants,
+        "variants": rows,
         "failures": failures,
         "ok": not failures,
     }
+
+
+def _compare_row(row: str, unit: str, cur: dict, base: dict,
+                 failures: list[str]) -> dict:
+    """Gate one shared row's winner and throughput ratio."""
+    ratio_drop = (
+        1.0 - cur["ratio"] / base["ratio"] if base["ratio"] > 0 else 0.0
+    )
+    winner_match = cur["winner"] is not None and cur["winner"] == base["winner"]
+    if not winner_match:
+        failures.append(
+            f"{row}: winning assignment changed vs committed baseline"
+            + (f" ({base['winner']!r} -> {cur['winner']!r})"
+               if isinstance(cur["winner"], str) else "")
+        )
+    if ratio_drop > REGRESSION_THRESHOLD:
+        failures.append(
+            f"{row}: {unit}/sec ratio regressed {ratio_drop * 100:.1f}% "
+            f"({base['ratio']:.2f}x -> {cur['ratio']:.2f}x; "
+            f"threshold {REGRESSION_THRESHOLD * 100:.0f}%)"
+        )
+    diff = {
+        "winner_match": winner_match,
+        "ratio_current": cur["ratio"],
+        "ratio_baseline": base["ratio"],
+        "ratio_drop": ratio_drop,
+        # informational: machine-dependent, never gated
+        f"{unit}_per_sec_current": cur["rate"],
+        f"{unit}_per_sec_baseline": base["rate"],
+    }
+    if "hit_rate" in cur:
+        diff["cache_hit_rate_current"] = cur["hit_rate"]
+        diff["cache_hit_rate_baseline"] = base["hit_rate"]
+    return diff
 
 
 def _compare_leg(
@@ -754,24 +747,29 @@ def _compare_leg(
 
 def render_compare(diff: dict) -> str:
     """Human-readable summary of a :func:`compare_bench` diff."""
+    unit = diff.get("unit", "configs")
     lines = [
         f"bench compare: {diff.get('model')} vs committed "
         f"{diff.get('baseline_model')} "
-        f"(gate: winner identity + ratio within "
+        f"(gate: job + winner identity + {unit}/sec ratio within "
         f"{diff['threshold'] * 100:.0f}%)",
-        f"{'variant':>8}  {'ratio old':>9}  {'ratio new':>9}  {'drop%':>6}  "
-        f"{'cfg/s old':>10}  {'cfg/s new':>10}  {'hit% old':>8}  "
+        f"{'row':>8}  {'ratio old':>9}  {'ratio new':>9}  {'drop%':>6}  "
+        f"{'rate old':>10}  {'rate new':>10}  {'hit% old':>8}  "
         f"{'hit% new':>8}  winner",
     ]
-    for variant, vdoc in diff["variants"].items():
+    for row, vdoc in diff["variants"].items():
+        hits = [
+            f"{vdoc[f'cache_hit_rate_{side}'] * 100:8.1f}"
+            if f"cache_hit_rate_{side}" in vdoc else f"{'-':>8}"
+            for side in ("baseline", "current")
+        ]
         lines.append(
-            f"{variant:>8}  {vdoc['ratio_baseline']:8.2f}x  "
+            f"{row:>8}  {vdoc['ratio_baseline']:8.2f}x  "
             f"{vdoc['ratio_current']:8.2f}x  "
             f"{vdoc['ratio_drop'] * 100:6.1f}  "
-            f"{vdoc['configs_per_sec_baseline']:10.0f}  "
-            f"{vdoc['configs_per_sec_current']:10.0f}  "
-            f"{vdoc['cache_hit_rate_baseline'] * 100:8.1f}  "
-            f"{vdoc['cache_hit_rate_current'] * 100:8.1f}  "
+            f"{vdoc[f'{unit}_per_sec_baseline']:10.1f}  "
+            f"{vdoc[f'{unit}_per_sec_current']:10.1f}  "
+            f"{hits[0]}  {hits[1]}  "
             f"{'match' if vdoc['winner_match'] else 'CHANGED'}"
         )
     for leg in LEG_VERSIONS:
@@ -793,7 +791,7 @@ def render_compare(diff: dict) -> str:
         lines.append("FAILURES:")
         lines.extend(f"  - {msg}" for msg in diff["failures"])
     else:
-        lines.append("ok: winners stable, relative throughput held")
+        lines.append("ok: same job, winners stable, relative throughput held")
     return "\n".join(lines)
 
 

@@ -32,7 +32,6 @@ Fault tolerance (see ``docs/serving.md`` "Failure modes and recovery"):
 
 from __future__ import annotations
 
-import importlib
 import queue
 import random
 import threading
@@ -40,6 +39,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..faults.events import FaultError, JobTimeoutError
+from ..models import build_model
 
 STATUS_QUEUED = "queued"
 STATUS_RUNNING = "running"
@@ -67,15 +67,6 @@ class QueueFullError(RuntimeError):
 
 class QueueClosedError(RuntimeError):
     """The queue is draining for shutdown and accepts no new jobs (503)."""
-
-
-def build_model(name: str, batch: int, seq_len: int):
-    """Build one zoo model at a requested shape (shared with the CLI)."""
-    module = importlib.import_module(f"repro.models.{name}")
-    config = module.DEFAULT_CONFIG.scaled(batch_size=batch, seq_len=seq_len)
-    from ..models import MODEL_BUILDERS
-
-    return MODEL_BUILDERS[name](config)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from repro.models import (
     MODEL_BUILDERS,
     ModelConfig,
     build_gnmt,
+    build_model,
     build_scrnn,
     build_stacked_lstm,
     build_sublstm,
@@ -64,6 +65,25 @@ class TestShapesScaleWithConfig:
         kinds_without = {n.kind for n in without.graph.compute_nodes()}
         assert "embedding" in kinds_with
         assert "embedding" not in kinds_without
+
+
+class TestBuildModel:
+    """``build_model``: one zoo model at a requested shape."""
+
+    def test_scales_default_config(self):
+        from repro.models import scrnn
+
+        model = build_model("scrnn", 4, 2, use_embedding=False)
+        assert model.config == scrnn.DEFAULT_CONFIG.scaled(
+            batch_size=4, seq_len=2, use_embedding=False
+        )
+        assert model.name == build_scrnn(model.config).name
+
+    def test_unknown_name_lists_the_zoo(self):
+        with pytest.raises(ValueError, match="unknown model 'nope'") as err:
+            build_model("nope", 4, 2)
+        for name in MODEL_BUILDERS:
+            assert repr(name) in str(err.value)
 
 
 class TestModelStructure:

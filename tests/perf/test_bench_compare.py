@@ -85,6 +85,28 @@ class TestCompareBench:
         assert not diff["ok"]
         assert any("no shared variants" in msg for msg in diff["failures"])
 
+    @pytest.mark.parametrize("field,value", [
+        ("model", "milstm"), ("batch", 32), ("seq_len", 6),
+        ("device", "V100"), ("seed", 7),
+    ])
+    def test_baseline_for_another_job_is_refused(self, field, value):
+        """A baseline describing another job is refused with the field
+        named, not diffed into a misleading winner change."""
+        job = {"batch": 16, "seq_len": 5, "device": "P100", "seed": 0}
+        current = dict(_doc(), **job)
+        baseline = dict(_doc(winner="plan-b"), **job)
+        baseline[field] = value
+        diff = compare_bench(current, baseline)
+        assert not diff["ok"]
+        assert diff["failures"] == [
+            f"document mismatch: {field} is {current[field]!r} here, "
+            f"{value!r} in the committed baseline"
+        ]
+        # quick is not part of the job: CI compares a quick document
+        # against the committed full one
+        quick = dict(current, quick=True)
+        assert compare_bench(quick, dict(current, quick=False))["ok"]
+
     def test_render_names_failures(self):
         diff = compare_bench(_doc(winner="plan-b"), _doc(winner="plan-a"))
         text = render_compare(diff)
@@ -220,7 +242,8 @@ class TestLearnedLegCompare:
 
 
 class TestCommittedBaselines:
-    @pytest.mark.parametrize("name", ["BENCH_scrnn.json", "BENCH_milstm.json"])
+    @pytest.mark.parametrize("name", ["BENCH_scrnn.json", "BENCH_milstm.json",
+                                      "BENCH_fleet_scrnn.json"])
     def test_baseline_self_compare_is_clean(self, name):
         doc = json.loads((RESULTS / name).read_text())
         diff = compare_bench(copy.deepcopy(doc), doc)

@@ -408,7 +408,8 @@ def test_fleet_trace_validates_for_pipeline_winner():
 
 
 def test_bench_fleet_document_and_compare_gates():
-    from repro.fleet import bench_fleet, compare_fleet_bench
+    from repro.fleet import bench_fleet
+    from repro.perf.bench import compare_bench
 
     doc = bench_fleet("scrnn", batch=64, quick=True)
     assert doc["ok"], doc["failures"]
@@ -418,11 +419,11 @@ def test_bench_fleet_document_and_compare_gates():
     assert doc["strategies_per_sec_multiple"] > 0
 
     # self-compare is clean
-    assert compare_fleet_bench(doc, doc)["ok"]
+    assert compare_bench(doc, doc)["ok"]
 
     # a mislabelled baseline (different model/config) is refused
     mislabelled = dict(doc, model="milstm")
-    diff = compare_fleet_bench(doc, mislabelled)
+    diff = compare_bench(doc, mislabelled)
     assert not diff["ok"]
     assert any("mismatch" in f for f in diff["failures"])
 
@@ -432,6 +433,6 @@ def test_bench_fleet_document_and_compare_gates():
     slower["strategies_per_sec_multiple"] = (
         baseline["strategies_per_sec_multiple"] * 0.5
     )
-    diff = compare_fleet_bench(slower, baseline)
+    diff = compare_bench(slower, baseline)
     assert not diff["ok"]
     assert any("regressed" in f for f in diff["failures"])
