@@ -158,6 +158,11 @@ def cmd_optimize(args) -> int:
         if fast_path.get("prune_enabled"):
             parts.append(f"{fast_path.get('choices_pruned', 0)} of "
                          f"{fast_path.get('choices_total', 0)} choices pruned")
+            stream = fast_path.get("stream_prune") or {}
+            if stream.get("choices_pruned"):
+                parts.append(f"({stream['choices_pruned']} by the stream bound)")
+            for reason, count in sorted(stream.get("standdowns", {}).items()):
+                parts.append(f"stream bound stood down ({reason}) x{count}")
         print(f"fast path: {'  '.join(parts)}")
         par = fast_path.get("parallel")
         if par:
@@ -393,13 +398,17 @@ def cmd_analyze(args) -> int:
 
 def cmd_explain(args) -> int:
     from .obs.provenance import ProvenanceLog
+    from .perf import FastPath
 
     model = _build(args)
     device = DEVICES[args.device]
     provenance = ProvenanceLog()
+    # the CLI's fast path, so the log carries the prune verdicts and the
+    # bounds behind them
     session = AstraSession(
         model, device=device, features=args.features, seed=args.seed,
         provenance=provenance, workers=getattr(args, "workers", None),
+        fast=FastPath(cache=True, prune=True),
     )
     try:
         report = session.optimize(max_minibatches=args.budget)
@@ -525,9 +534,25 @@ def _finish_bench(args, doc: dict, render, default_out: str) -> int:
     return 0 if ok else 1
 
 
+def _reject_flags(command: str, flags: dict[str, object], hint: str) -> None:
+    """Exit with an error naming every given flag ``command`` would
+    otherwise ignore."""
+    given = [flag for flag, value in flags.items() if value]
+    if given:
+        raise SystemExit(
+            f"repro {command}: {', '.join(given)} not supported; {hint}"
+        )
+
+
 def cmd_bench(args) -> int:
     from .perf.bench import DEFAULT_VARIANTS, bench_model, render_bench
 
+    _reject_flags(
+        "bench",
+        {"--features": args.features, "--no-embedding": args.no_embedding},
+        "bench traces the model with embeddings and explores the "
+        "--variants feature sets",
+    )
     variants = (
         tuple(v.strip() for v in args.variants.split(",") if v.strip())
         if args.variants else DEFAULT_VARIANTS
@@ -684,6 +709,13 @@ def cmd_fleet(args) -> int:
     if args.bench:
         from .fleet import bench_fleet, render_fleet_bench
 
+        _reject_flags(
+            "fleet --bench",
+            {"--no-embedding": args.no_embedding, "--astra": args.astra,
+             "--faults": args.faults, "--learned": args.learned},
+            "the bench times the native-priced, fault-free exhaustive and "
+            "pruned searches",
+        )
         return _finish_bench(args, bench_fleet(
             args.model, batch=batch, seq_len=args.seq_len,
             fleet_name=args.fleet, seed=args.seed, workers=args.workers,
@@ -961,6 +993,8 @@ def make_parser() -> argparse.ArgumentParser:
         help="time the exploration itself: baseline vs fast path, per phase",
     )
     common(p, positional_model=True)
+    # shared options bench does not take: None unless given, then refused
+    p.set_defaults(features=None)
     p.add_argument("--variants", default=None, metavar="V1,V2",
                    help="comma-separated feature variants to bench "
                         "(default: FK,all)")

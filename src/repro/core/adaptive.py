@@ -96,14 +96,17 @@ class AdaptiveVariable(Explorable):
     def __post_init__(self) -> None:
         if not self.choices:
             raise ValueError(f"variable {self.name!r} has no choices")
-        self._position = 0
-        self._exhausted = len(self.choices) == 1
+        self.initialize()
 
     # -- Explorable ----------------------------------------------------------
 
     def initialize(self) -> None:
         self._position = 0
         self._exhausted = len(self.choices) == 1
+        #: visiting order of choice positions (None = choice order) and
+        #: the cursor's step in it
+        self._order: list[int] | None = None
+        self._step = 0
 
     @property
     def value(self):
@@ -131,16 +134,37 @@ class AdaptiveVariable(Explorable):
         """Step to the next choice whose measurement is missing."""
         if self._exhausted:
             return False
-        position = self._position
+        step = self._step
         while True:
-            position += 1
-            if position >= len(self.choices):
+            step += 1
+            if step >= len(self.choices):
                 self._exhausted = True
                 self.finalize(index, context)
                 return False
+            position = step if self._order is None else self._order[step]
             if not self.measured(index, context, self.choices[position]):
-                self._position = position
+                self._step, self._position = step, position
                 return True
+
+    def unvisited(self) -> list[int]:
+        """Positions of the current choice and every choice after it in
+        the visiting order."""
+        if self._order is None:
+            return list(range(self._step, len(self.choices)))
+        return self._order[self._step:]
+
+    def reorder(self, positions: list[int]) -> None:
+        """Visit ``positions`` -- a permutation of :meth:`unvisited` --
+        from now on, starting at ``positions[0]``.
+
+        Only the visiting order changes: :meth:`finalize` still breaks
+        ties in choice order, so the winner never depends on it.
+        """
+        if sorted(positions) != sorted(self.unvisited()):
+            raise ValueError(f"{self.name}: not a permutation of the unvisited choices")
+        order = self._order if self._order is not None else list(range(len(self.choices)))
+        self._order = order[:self._step] + list(positions)
+        self._position = self._order[self._step]
 
     def finalize(self, index: ProfileIndex, context: Key) -> None:
         best_choice, best_value = None, None
@@ -156,10 +180,12 @@ class AdaptiveVariable(Explorable):
         yield self
 
     def snapshot_state(self) -> tuple:
-        return (self._position, self._exhausted)
+        order = None if self._order is None else tuple(self._order)
+        return (self._position, self._exhausted, self._step, order)
 
     def restore_state(self, state: tuple) -> None:
-        self._position, self._exhausted = state
+        self._position, self._exhausted, self._step, order = state
+        self._order = None if order is None else list(order)
 
     @property
     def exhausted(self) -> bool:

@@ -38,7 +38,14 @@ from ..obs.provenance import NULL_PROVENANCE
 from ..obs.report import KIND_COMPARE, KIND_EXPLORE, KIND_PRODUCTION, NULL_REPORTER, RunReporter
 from ..obs.trace import NULL_TRACER
 from ..perf.cache import LoweringCache
-from ..perf.ranker import FastPath, prune_fk_tree
+from ..perf.ranker import (
+    FastPath,
+    StreamBound,
+    StreamPruner,
+    prune_fk_tree,
+    prune_standdown,
+    stream_config,
+)
 from ..perf.timers import NULL_CLOCK
 from ..runtime.executor import Executor, MiniBatchResult
 from ..runtime.plan import ExecutionPlan
@@ -252,6 +259,10 @@ class CustomWirer:
         )
         self._choices_total = 0
         self._choices_pruned = 0
+        #: stream-bound bookkeeping (perf/ranker.py), reported in fast_path
+        self._stream_prune: dict = {
+            "choices_pruned": 0, "configs_skipped": 0, "standdowns": {},
+        }
         self._overhead_samples: list[float] = []
         self._timeline: list[tuple[str, float]] = []
         self._last_assignment: dict[str, object] = {}
@@ -649,14 +660,29 @@ class CustomWirer:
         build,
         stats: PhaseStats,
         budget: int,
+        pruner: StreamPruner | None = None,
     ) -> int:
-        """Generic explore loop: run current config, record, advance."""
+        """Generic explore loop: run current config, record, advance.
+
+        With a stream ``pruner``, a configuration whose every live choice
+        provably loses is skipped before it is built: nothing is lowered,
+        simulated, charged or indexed for it.
+        """
         spent = 0
         with self.tracer.span(f"explore/{stats.name}"):
             while True:
                 live_vars = [
                     v for v in tree.variables() if not v.measured(self.index, context)
                 ]
+                if live_vars and pruner is not None:
+                    with self.clock.phase("prerank"):
+                        pruner.order(live_vars)
+                        bounds = pruner.verdict(live_vars)
+                    if bounds is not None:
+                        self._record_stream_prune(context, live_vars, bounds)
+                        if not tree.advance(self.index, context):
+                            break
+                        continue
                 if live_vars:
                     assignment = tree.assignment()
                     with self.clock.phase("enumerate"):
@@ -680,6 +706,51 @@ class CustomWirer:
                 if not tree.advance(self.index, context):
                     break
         return spent
+
+    def _record_stream_prune(
+        self,
+        context: tuple,
+        live_vars: list[AdaptiveVariable],
+        bounds: list[float],
+    ) -> None:
+        """One skipped stream configuration: each live choice's verdict,
+        with the bound that proved it loses, and the counters."""
+        for var, bound in zip(live_vars, bounds):
+            self.provenance.pruned(context, var.name, var.value, bound)
+        self._choices_pruned += len(live_vars)
+        self._stream_prune["choices_pruned"] += len(live_vars)
+        self._stream_prune["configs_skipped"] += 1
+        self.metrics.counter("perf.stream_prune.choices_pruned").inc(len(live_vars))
+        self.metrics.counter("perf.stream_prune.configs_skipped").inc()
+
+    def _stream_pruner(
+        self,
+        strategy: AllocationStrategy,
+        fk_assignment: dict[str, object],
+        partition: EpochPartition,
+        stream_tree: UpdateNode,
+        context: tuple,
+    ) -> StreamPruner | None:
+        """The stream bound for this phase, or None when pruning is off,
+        has nothing to prune, or must stand down (reason counted)."""
+        variables = list(stream_tree.variables())
+        if not self.fast.prune or not variables:
+            return None
+        reason = prune_standdown(
+            injector=self.injector, clock_modes=(self.device.clock_mode,),
+            samples=self.policy.samples,
+        )
+        if reason is not None:
+            standdowns = self._stream_prune["standdowns"]
+            standdowns[reason] = standdowns.get(reason, 0) + 1
+            return None
+        template = self._build_with_streams(
+            strategy, fk_assignment, {}, partition, stream_tree
+        ).plan
+        bound = StreamBound.of(
+            template, self.executor.dispatcher, self.device, variables
+        )
+        return StreamPruner(bound, stream_tree, self.index, context, self.metrics)
 
     @staticmethod
     def _config_key(live_vars: list[AdaptiveVariable], context: tuple) -> tuple:
@@ -1035,8 +1106,13 @@ class CustomWirer:
                 strategy, fk_assignment, assignment, partition, stream_tree,
                 profile_vars=live,
             )
+            with self.clock.phase("prerank"):
+                pruner = self._stream_pruner(
+                    strategy, fk_assignment, partition, stream_tree, context
+                )
             self._explore_tree(
-                stream_tree, context, build_stream, stream_stats, budget_left()
+                stream_tree, context, build_stream, stream_stats, budget_left(),
+                pruner=pruner,
             )
             phases.append(stream_stats)
             stream_tree.finalize(self.index, context)
@@ -1219,6 +1295,7 @@ class CustomWirer:
             "cache": self.cache.stats() if self.cache is not None else None,
             "choices_total": self._choices_total,
             "choices_pruned": self._choices_pruned,
+            "stream_prune": self._stream_prune,
             "parallel": (
                 self.engine.summary() if self.engine is not None else None
             ),
@@ -1269,11 +1346,11 @@ class CustomWirer:
         stream_tree: UpdateNode,
         profile_vars: set[str] | None = None,
     ) -> BuiltPlan:
-        options: dict[int, dict[int, int]] = {}
-        for var in stream_tree.variables():
-            ordinal, epoch = var.payload  # type: ignore[misc]
-            choice = stream_assignment.get(var.name, var.value)
-            options[ordinal] = epoch.options[choice]
+        # only live epochs pay for their profiling events (regions of
+        # interest, section 5.2)
+        options, extra_profile = stream_config(
+            stream_tree.variables(), stream_assignment, profile_vars
+        )
         built = self.enumerator.build_plan(
             strategy,
             fk_assignment,
@@ -1282,17 +1359,10 @@ class CustomWirer:
             profile_vars=profile_vars,
             label="astra+streams",
         )
-        # stream variables own their epoch's units: the epoch-completion
-        # metric needs an event on the epoch's last unit, and only live
-        # epochs pay for it (regions of interest, section 5.2)
-        extra_profile: set[int] = set()
+        # stream variables own their epoch's units
         for var in stream_tree.variables():
             _ordinal, epoch = var.payload  # type: ignore[misc]
             built.var_units.setdefault(var.name, list(epoch.unit_ids))
-            if profile_vars is None or var.name in profile_vars:
-                extra_profile.add(max(epoch.unit_ids))
-                # the super-epoch start is read from the first unit's record
-                extra_profile.add(min(epoch.unit_ids))
         if built.plan.profile_unit_ids is not None:
             built.plan.profile_unit_ids = frozenset(
                 built.plan.profile_unit_ids | extra_profile

@@ -43,7 +43,8 @@ class VariableDecision:
     candidates: list = field(default_factory=list)
     #: choice -> decisive measurement (first write wins, like the index)
     measurements: dict = field(default_factory=dict)
-    #: (choice, cost-model estimate) pairs removed by FK pruning
+    #: (choice, cost-model estimate) pairs removed by FK pruning, or
+    #: (choice, replay bound) pairs removed by the stream bound
     pruned: list = field(default_factory=list)
     #: (choice, predicted us) pairs removed by the learned ranker
     model_pruned: list = field(default_factory=list)
@@ -276,8 +277,11 @@ class ProvenanceLog:
             if decision.margin_us is not None and decision.runner_up_us is not None \
                     and decision.runner_up_us < quarantined_us:
                 lines.append(f"    margin    {decision.margin_us:+.3f} us")
+            # stream choices are pruned by a replay bound, fusion/kernel
+            # choices by the cost-model estimate
+            kind = "bound" if decision.name.startswith("stream:") else "est"
             for choice, estimate in decision.pruned:
-                est = f" (est {estimate:.2f} us)" if estimate is not None else ""
+                est = f" ({kind} {estimate:.2f} us)" if estimate is not None else ""
                 lines.append(f"    pruned    {_fmt_choice(choice):<28}{est}")
             for choice, predicted in decision.model_pruned:
                 est = (f" (model {predicted:.2f} us)"

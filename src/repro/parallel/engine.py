@@ -102,19 +102,20 @@ def _advance_var(var, index, context, pending) -> str:
     """
     if var._exhausted:
         return ADV_DONE
-    position = var._position
+    step = var._step
     while True:
-        position += 1
-        if position >= len(var.choices):
+        step += 1
+        if step >= len(var.choices):
             for choice in var.choices:
                 if var.profile_key(context, choice) in pending:
                     return ADV_DEFERRED  # position untouched; ride along
             var._exhausted = True
             var.finalize(index, context)
             return ADV_DONE
+        position = step if var._order is None else var._order[step]
         key = var.profile_key(context, var.choices[position])
         if key not in index and key not in pending:
-            var._position = position
+            var._step, var._position = step, position
             return ADV_LIVE
 
 

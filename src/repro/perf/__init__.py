@@ -13,8 +13,10 @@ identical while removing the redundant work:
   identical plans;
 * :mod:`repro.perf.ranker` -- the cost-model-guided pre-ranker that
   prunes provably-losing fusion/kernel choices before any simulated
-  mini-batch is spent on them (``--no-prune`` restores exhaustive
-  search; an equivalence test pins that both converge identically);
+  mini-batch is spent on them, and the stream bound that skips
+  provably-losing stream configurations before they are built
+  (``--no-prune`` restores exhaustive search; equivalence tests pin
+  that both converge identically);
 * :mod:`repro.perf.timers` -- exclusive per-phase wall-clock accounting
   (enumerate / lower / simulate / explore) with a null-object default;
 * :mod:`repro.perf.bench` -- the ``repro bench`` harness that records

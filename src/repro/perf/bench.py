@@ -584,10 +584,11 @@ def compare_bench(current: dict, baseline: dict) -> dict:
     compares what is stable across machines:
 
     * **the job** -- the baseline must describe the same job: model,
-      batch, sequence length, device (a fleet document: fleet and
-      document version) and seed.  A mismatch is refused with the field
-      named; nothing else is compared.  ``quick`` is not part of the
-      job: CI compares a quick document against the committed full one;
+      batch, sequence length, device and exploration budget (a fleet
+      document: fleet, pipeline micro-batches and document version) and
+      seed.  A mismatch is refused with the field named; nothing else is
+      compared.  ``quick`` is not part of the job: CI compares a quick
+      document against the committed full one;
     * **winner identity** -- the winning assignment (strategy) of every
       row both documents carry must be identical; an optimizer that
       starts picking a different plan has changed behavior, not speed;
@@ -614,8 +615,8 @@ def compare_bench(current: dict, baseline: dict) -> dict:
     """
     fleet = "legs" in current
     job = (
-        ("version", "model", "batch", "seq_len", "fleet", "seed") if fleet
-        else ("model", "batch", "seq_len", "device", "seed")
+        ("version", "model", "batch", "seq_len", "fleet", "microbatches", "seed")
+        if fleet else ("model", "batch", "seq_len", "device", "budget", "seed")
     )
     failures = [
         f"document mismatch: {key} is {current.get(key)!r} here, "

@@ -70,6 +70,35 @@ def topological_units(units: list[Unit], deps: dict[int, set[int]]) -> list[Unit
     return order
 
 
+def completion_event_units(
+    deps: dict[int, set[int]],
+    stream_of: dict[int, int],
+    kernel_units: set[int],
+    host_units: set[int],
+) -> set[int]:
+    """Units whose kernel records a completion event.
+
+    A unit needs one when it is consumed from a different stream (the
+    consumer waits on the event) or feeds host-side work (the dispatch
+    thread blocks on it).  Only units that launch a kernel can record
+    one -- a host-only producer is ordered by the dispatch thread itself
+    (HostComputeItem stalls dispatch), so an event for it would never be
+    recorded and every waiter would deadlock.  ``stream_of`` is the
+    plan's stream map (missing = stream 0).  :meth:`Dispatcher.lower`
+    places its events with this rule, and the stream bound
+    (:mod:`repro.perf.ranker`) replays it.
+    """
+    stream = stream_of.get
+    recorded: set[int] = set()
+    for uid, dep_ids in deps.items():
+        host = uid in host_units
+        own = stream(uid, 0)
+        for dep in dep_ids:
+            if dep in kernel_units and (host or stream(dep, 0) != own):
+                recorded.add(dep)
+    return recorded
+
+
 class Dispatcher:
     """Computes unit dependencies from the DFG and emits dispatch items."""
 
@@ -173,25 +202,13 @@ class Dispatcher:
         item_units: dict[int, int] = {}
         record_counter = 0
 
-        # which units need a completion event: any unit consumed from a
-        # different stream (cross-stream dependency -> wait-event), or any
-        # unit feeding host-side work (the dispatch thread must block on it).
-        # Only units that launch a kernel can record one -- a host-only
-        # producer is ordered by the dispatch thread itself (HostComputeItem
-        # stalls dispatch), so an event for it would never be recorded and
-        # every waiter would deadlock.
-        consumers_cross_stream: set[int] = set()
         host_units = {u.unit_id for u in plan.units if u.host_us > 0.0}
         kernel_units = {u.unit_id for u in plan.units if u.kernel is not None}
-        for uid, dep_ids in deps.items():
-            for dep in dep_ids:
-                if dep not in kernel_units:
-                    continue
-                if plan.stream(dep) != plan.stream(uid) or uid in host_units:
-                    consumers_cross_stream.add(dep)
-
         completion_events: dict[int, EventId] = {
-            uid: namespace.new_event(f"u{uid}") for uid in consumers_cross_stream
+            uid: namespace.new_event(f"u{uid}")
+            for uid in completion_event_units(
+                deps, plan.stream_of, kernel_units, host_units
+            )
         }
         barrier_pending = set(plan.barriers_after)
         issued: set[int] = set()

@@ -87,12 +87,13 @@ class TestCompareBench:
 
     @pytest.mark.parametrize("field,value", [
         ("model", "milstm"), ("batch", 32), ("seq_len", 6),
-        ("device", "V100"), ("seed", 7),
+        ("device", "V100"), ("seed", 7), ("budget", 5),
     ])
     def test_baseline_for_another_job_is_refused(self, field, value):
         """A baseline describing another job is refused with the field
         named, not diffed into a misleading winner change."""
-        job = {"batch": 16, "seq_len": 5, "device": "P100", "seed": 0}
+        job = {"batch": 16, "seq_len": 5, "device": "P100", "seed": 0,
+               "budget": 3000}
         current = dict(_doc(), **job)
         baseline = dict(_doc(winner="plan-b"), **job)
         baseline[field] = value
@@ -106,6 +107,15 @@ class TestCompareBench:
         # against the committed full one
         quick = dict(current, quick=True)
         assert compare_bench(quick, dict(current, quick=False))["ok"]
+
+    def test_fleet_baseline_for_other_microbatches_is_refused(self):
+        baseline = json.loads((RESULTS / "BENCH_fleet_scrnn.json").read_text())
+        current = dict(copy.deepcopy(baseline), microbatches=2)
+        diff = compare_bench(current, baseline)
+        assert diff["failures"] == [
+            "document mismatch: microbatches is 2 here, 4 in the committed "
+            "baseline"
+        ]
 
     def test_render_names_failures(self):
         diff = compare_bench(_doc(winner="plan-b"), _doc(winner="plan-a"))

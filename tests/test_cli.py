@@ -304,3 +304,43 @@ class TestBenchCompare:
         assert main([*self.ARGS, "-o", str(doc_path),
                      "--compare", str(bad_path)]) == 1
         assert "winning assignment changed" in capsys.readouterr().out
+
+    def test_budget_mismatch_with_committed_baseline_is_refused(
+        self, capsys, tmp_path
+    ):
+        """A --budget 5 quick run describes another job than the committed
+        budget-3000 baseline: refused with the field named, not diffed."""
+        import pathlib
+
+        baseline = (pathlib.Path(__file__).resolve().parents[1]
+                    / "benchmarks" / "results" / "BENCH_scrnn.json")
+        assert main(["bench", "scrnn", "--quick", "--budget", "5",
+                     "--workers", "0", "-o", str(tmp_path / "doc.json"),
+                     "--compare", str(baseline)]) == 1
+        out = capsys.readouterr().out
+        assert ("document mismatch: budget is 5 here, 3000 in the committed "
+                "baseline") in out
+        assert "regressed" not in out
+
+
+class TestIgnoredFlagsRejected:
+    """Flags a command would silently ignore exit with an error instead."""
+
+    @pytest.mark.parametrize("flag", [["--features", "F"], ["--no-embedding"]])
+    def test_bench(self, flag):
+        with pytest.raises(SystemExit, match=f"repro bench: {flag[0]} not supported"):
+            main(["bench", "scrnn", "--quick", *flag])
+
+    @pytest.mark.parametrize("flag", [
+        ["--no-embedding"], ["--astra"], ["--faults", "faults.json"],
+        ["--learned", "model.json"],
+    ])
+    def test_fleet_bench(self, flag):
+        with pytest.raises(
+            SystemExit, match=f"repro fleet --bench: {flag[0]} not supported"
+        ):
+            main(["fleet", "scrnn", "--bench", "--quick", *flag])
+
+    def test_fleet_without_bench_keeps_its_flags(self):
+        args = make_parser().parse_args(["fleet", "scrnn", "--astra", "--no-embedding"])
+        assert args.astra and args.no_embedding and not args.bench
